@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -30,7 +31,7 @@ from .linalg import (
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
-from .rationals import rat_mod_p
+from .rationals import is_prime, rat_mod_p
 from .subsets import (
     build_set_incidence,
     char_p_admissible_set,
@@ -97,7 +98,7 @@ def _class_values_json(values, mod=None):
     doc = {}
     for i in range(len(values) - 1, -1, -1):
         x = values[i]
-        doc[f"i={i}"] = str(rat_mod_p(x, mod).value) if mod else str(x)
+        doc[f"i={i}"] = str(rat_mod_p(x, mod).value) if mod is not None else str(x)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -135,8 +136,10 @@ def _check_admissible(admissible, obstruction):
 
 def _cmd_mpinv(args):
     mod = args.mod
+    if mod is not None and not is_prime(mod):
+        raise MpincError(f"--mod {mod} is not a prime")
     if args.kind == "set":
-        if mod:
+        if mod is not None:
             _check_admissible(
                 char_p_admissible_set(args.n, args.r, args.c, mod),
                 char_p_obstruction_set(args.n, args.r, args.c, mod),
@@ -153,7 +156,7 @@ def _cmd_mpinv(args):
         M = build_set_incidence(args.n, args.r, args.c)
         row_labels, col_labels = M.col_labels, M.row_labels
     elif args.kind == "subspace":
-        if mod:
+        if mod is not None:
             _check_admissible(
                 char_p_admissible_subspace(args.n, args.q, args.r, args.c, mod),
                 char_p_obstruction_subspace(args.n, args.q, args.r, args.c, mod),
@@ -178,7 +181,7 @@ def _cmd_mpinv(args):
         M = build_design_incidence(D, args.s)
         row_labels, col_labels = M.col_labels, M.row_labels
 
-    if mod:
+    if mod is not None:
         try:
             X = rat_matrix_mod_p(X, mod)
         except NotReducibleError as exc:
@@ -342,7 +345,9 @@ def _add_subspace_params(p):
     p.add_argument("--q", type=int, required=True, help="prime power field order")
 
 
+@cache
 def build_parser():
+    """The mpinc argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="mpinc",
         description="Exact Moore-Penrose inverses of set, subspace, and design "

@@ -14,7 +14,8 @@ from itertools import product
 from .errors import InvalidFieldError, NoInverseError, ShapeError
 
 
-def _factor_prime_power(q):
+def factor_prime_power(q):
+    """(p, e) with q = p^e; InvalidFieldError when q is not a prime power."""
     if q < 2:
         raise InvalidFieldError(f"{q} is not a prime power")
     p = None
@@ -80,7 +81,7 @@ class FieldSpec:
                  "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, q):
-        p, e = _factor_prime_power(q)
+        p, e = factor_prime_power(q)
         self.q = q
         self.p = p
         self.e = e

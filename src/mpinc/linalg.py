@@ -1,26 +1,28 @@
 """Exact rational matrices, the pseudoinverse oracle, and Penrose checkers.
 
-The oracle route is full-rank factorization: A = F G with F the pivot
-columns of A and G the nonzero rref rows, then
+Every kernel runs on Python ints. A RatMatrix is scaled once by the lcm of
+its denominators; products then go through one row-sparse integer product
+that skips zero entries, and elimination is fraction-free (Bareiss 1968),
+so there is no rational arithmetic and no rational swell in between.
+Fractions are built only for results.
 
-    A+ = G^T (G G^T)^-1 (F^T F)^-1 F^T.
+The oracle is the skeleton form of the full-rank factorization. With I the
+pivot rows and J the pivot columns of A, F = A[:, J] and R = A[I, :],
 
-This is independent of any closed-form inverse being tested and works at
-any rank. All arithmetic is exact; the inner kernels run on gmpy2.mpq when
-available (identical results, several times faster on the largest sweeps)
-and fall back to Fraction otherwise.
+    A+ = R^T (F^T A R^T)^-1 F^T.
+
+It reads only A, never a closed-form inverse, and works at any rank.
+Nothing here touches floating point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import add, mul
 
 from .errors import ParameterError, ShapeError, SingularError, ZeroMatrixError
 from .rationals import rat_mod_p
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,10 +31,7 @@ _ONE = Fraction(1)
 def _as_fraction(x):
     if type(x) is Fraction:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    # int() guards against mpq parts (mpz) leaking into Fraction internals
-    return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(x.numerator, x.denominator)
 
 
 @dataclass(frozen=True)
@@ -91,19 +90,9 @@ class RatMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        n, m = self.rows, other.cols
-        out = [_ZERO] * (n * m)
-        for i in range(n):
-            arow = self.row(i)
-            base = i * m
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = other.row(k)
-                for j, b in enumerate(brow):
-                    if b:
-                        out[base + j] += a * b
-        return RatMatrix(n, m, tuple(out))
+        a, A = _int_rows(self)
+        b, B = _int_rows(other)
+        return _rat_matrix(_matmul(A, B, other.cols), self.rows, other.cols, 1, a * b)
 
     def scale(self, s):
         s = _as_fraction(s)
@@ -121,22 +110,11 @@ class RatMatrix:
         return all(not x for x in self.entries)
 
     def is_identity(self):
-        if self.rows != self.cols:
+        n = self.rows
+        if n != self.cols:
             return False
-        return all(
-            self.entries[i * self.cols + j] == (_ONE if i == j else _ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        e = self.entries
+        return all(e[i * (n + 1)] == 1 for i in range(n)) and sum(map(bool, e)) == n
 
 
 @dataclass(frozen=True)
@@ -194,100 +172,125 @@ class PenroseReport:
 
 
 # ---------------------------------------------------------------------------
-# fast exact kernels (gmpy2.mpq when available)
+# integer core: matrices as lists of int rows
 
-def _q_rows(M):
-    return [[_Q(x) for x in M.row(i)] for i in range(M.rows)]
-
-
-def _q_rref(rows, ncols):
-    """In-place rref of a list-of-lists; returns (reduced rows, rank, pivots)."""
-    m = len(rows)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, m):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pv = rows[rank][col]
-        if pv != 1:
-            inv = 1 / pv
-            rows[rank] = [x * inv for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(m):
-            if i == rank:
-                continue
-            factor = rows[i][col]
-            if factor:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == m:
-            break
-    return rows[:rank], rank, pivots
+def _int_rows(M):
+    """(d, rows): d is the lcm of M's denominators, rows the int rows of d*M."""
+    e = M.entries
+    d = lcm(*{x.denominator for x in e})
+    if d == 1:
+        flat = [x.numerator for x in e]
+    else:
+        flat = [x.numerator * (d // x.denominator) for x in e]
+    c = M.cols
+    return d, [flat[i * c : (i + 1) * c] for i in range(M.rows)]
 
 
-def _q_inverse(rows):
-    """Gauss-Jordan inverse of a square list-of-lists; SingularError if singular."""
-    n = len(rows)
-    aug = [list(row) + [_Q(1) if i == j else _Q(0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            raise SingularError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            inv = 1 / pv
-            aug[col] = [x * inv for x in aug[col]]
-        prow = aug[col]
-        for i in range(n):
-            if i == col:
-                continue
-            factor = aug[i][col]
-            if factor:
-                aug[i] = [x - factor * y for x, y in zip(aug[i], prow)]
-    return [row[n:] for row in aug]
+def _rat_matrix(rows, nrows, ncols, num, den):
+    """The RatMatrix (num/den) * rows, building one Fraction per distinct entry."""
+    flat = [v for row in rows for v in row]
+    frac = {v: Fraction(num * v, den) for v in set(flat)}
+    return RatMatrix(nrows, ncols, tuple(map(frac.__getitem__, flat)))
 
 
-def _q_matmul(A, B):
-    """Zero-skipping product of list-of-lists."""
-    n = len(A)
-    m = len(B[0]) if B else 0
-    zero = _Q(0)
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        arow = A[i]
-        orow = out[i]
-        for k, a in enumerate(arow):
-            if not a:
-                continue
-            brow = B[k]
-            for j, b in enumerate(brow):
-                if b:
-                    orow[j] += a * b
+def _transpose(rows, ncols):
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
+
+
+def _nnz(rows):
+    return sum(len(row) - row.count(0) for row in rows)
+
+
+def _row_sparse_matmul(a, b, ncols):
+    # row i of a @ b is the sum of the rows of b picked by row i's nonzeros
+    out = []
+    for arow in a:
+        acc = [0] * ncols
+        for k, x in enumerate(arow):
+            if x == 1:
+                acc = list(map(add, acc, b[k]))
+            elif x:
+                acc = list(map(add, acc, map(mul, repeat(x), b[k])))
+        out.append(acc)
     return out
 
 
-def _q_transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
+def _matmul(a, b, ncols):
+    """a @ b for int rows; b has ncols columns.
+
+    The product scans the nonzeros of one factor and adds whole rows of the
+    other, so its cost is the scanned factor's nnz times the other's width.
+    It scans a, or b through (b^T a^T)^T, whichever costs less: with a 0/1
+    incidence matrix on either side, the dense factor is never scanned.
+    """
+    inner = len(b)
+    if _nnz(b) * len(a) < _nnz(a) * ncols:
+        bt_at = _row_sparse_matmul(_transpose(b, ncols), _transpose(a, inner), len(a))
+        return _transpose(bt_at, len(a))
+    return _row_sparse_matmul(a, b, ncols)
 
 
-def _from_q(rows, ncols):
-    flat = []
-    for row in rows:
-        flat.extend(_as_fraction(x) for x in row)
-    return RatMatrix(len(rows), ncols, tuple(flat))
+def _is_symmetric(rows):
+    return _transpose(rows, len(rows)) == rows
+
+
+def _gauss_jordan(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of int rows.
+
+    Pivots are sought in the first `width` columns, in order, and each row
+    operation runs across the whole row. Returns (reduced, order, pivots, d):
+    reduced[t] is zero in every pivot column but pivots[t], where it holds d,
+    the last pivot; it descends from input row order[t]. Rows past the rank
+    are zero in the first `width` columns. Every division is exact, because
+    each entry is a minor of the input, so the entries never outgrow those
+    minors.
+    """
+    rows = list(rows)
+    m = len(rows)
+    order = list(range(m))
+    pivots = []
+    prev = 1
+    for col in range(width):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, m) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        order[rank], order[sel] = order[sel], order[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for i in range(m):
+            if i == rank:
+                continue
+            row = rows[i]
+            f = row[col]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in row]
+        pivots.append(col)
+        prev = p
+        if len(pivots) == m:
+            break
+    return rows, order, pivots, prev
+
+
+def _inverse(M):
+    """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M."""
+    k = len(M)
+    aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(M)]
+    reduced, _, pivots, d = _gauss_jordan(aug, k)
+    if len(pivots) < k:
+        raise SingularError("matrix is singular")
+    return [row[k:] for row in reduced], d
+
+
+def _check_pair(A, X):
+    if X.rows != A.cols or X.cols != A.rows:
+        raise ShapeError(
+            f"X must be {A.cols}x{A.rows} for A {A.rows}x{A.cols}, "
+            f"got {X.rows}x{X.cols}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +302,10 @@ def rref_rational(A):
     Returns (rref, rank, pivot_columns); zero rows are trimmed so the rref
     has exactly rank rows.
     """
-    reduced, rank, pivots = _q_rref(_q_rows(A), A.cols)
-    return _from_q(reduced, A.cols), rank, tuple(pivots)
+    _, rows = _int_rows(A)
+    reduced, _, pivots, d = _gauss_jordan(rows, A.cols)
+    rank = len(pivots)
+    return _rat_matrix(reduced[:rank], rank, A.cols, 1, d), rank, tuple(pivots)
 
 
 def full_rank_factorization(A):
@@ -320,34 +325,40 @@ def full_rank_factorization(A):
 
 
 def pseudoinverse_oracle(A):
-    """The Moore-Penrose inverse of A via full-rank factorization, exactly."""
-    if A.is_zero():
-        return RatMatrix.zeros(A.cols, A.rows)
-    rows_q = _q_rows(A)
-    G, rank, pivots = _q_rref([list(r) for r in rows_q], A.cols)
-    F = [[rows_q[i][j] for j in pivots] for i in range(A.rows)]
-    Ft = _q_transpose(F)
-    Gt = _q_transpose(G)
-    GGt_inv = _q_inverse(_q_matmul(G, Gt))
-    FtF_inv = _q_inverse(_q_matmul(Ft, F))
-    X = _q_matmul(Gt, _q_matmul(GGt_inv, _q_matmul(FtF_inv, Ft)))
-    return _from_q(X, A.rows)
+    """The Moore-Penrose inverse of A via its skeleton, exactly.
+
+    With a*A = Ai integral and Fi, Ri the pivot columns and rows of Ai,
+    A+ = a * Ri^T (Fi^T Ai Ri^T)^-1 Fi^T; the k x k inverse is adj/det.
+    """
+    m, n = A.rows, A.cols
+    a, Ai = _int_rows(A)
+    _, order, pivots, _ = _gauss_jordan(Ai, n)
+    k = len(pivots)
+    if k == 0:
+        return RatMatrix.zeros(n, m)
+    Rt = _transpose([Ai[i] for i in order[:k]], n)
+    Ft = [[row[j] for row in Ai] for j in pivots]
+    adj, det = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
+    X = _matmul(Rt, _matmul(adj, Ft, m), m)
+    return _rat_matrix(X, n, m, a, det)
 
 
 def penrose_check(A, X):
-    """Evaluate the four Penrose conditions for (A, X) with exact equality."""
-    if X.rows != A.cols or X.cols != A.rows:
-        raise ShapeError(
-            f"X must be {A.cols}x{A.rows} for A {A.rows}x{A.cols}, "
-            f"got {X.rows}x{X.cols}"
-        )
-    AX = A @ X
-    XA = X @ A
+    """Evaluate the four Penrose conditions for (A, X) with exact equality.
+
+    With a*A = Ai and x*X = Xi integral, A X A = A reads Ai Xi Ai = a x Ai
+    and X A X = X reads Xi (Ai Xi) = a x Xi; symmetry is unaffected.
+    """
+    _check_pair(A, X)
+    a, Ai = _int_rows(A)
+    x, Xi = _int_rows(X)
+    ax = a * x
+    AX = _matmul(Ai, Xi, A.rows)
     return PenroseReport(
-        cond1=(AX @ A) == A,
-        cond2=(XA @ X) == X,
-        cond3=AX.is_symmetric(),
-        cond4=XA.is_symmetric(),
+        cond1=_matmul(AX, Ai, A.cols) == [[ax * v for v in row] for row in Ai],
+        cond2=_matmul(Xi, AX, A.rows) == [[ax * v for v in row] for row in Xi],
+        cond3=_is_symmetric(AX),
+        cond4=_is_symmetric(_matmul(Xi, Ai, A.cols)),
     )
 
 
@@ -359,32 +370,11 @@ def rat_matrix_mod_p(A, p):
     )
 
 
-def _int_rows_mod(A, p):
-    out = []
-    for i in range(A.rows):
-        row = []
-        for x in A.row(i):
-            if x.denominator != 1:
-                raise ParameterError("mod-p Penrose check needs integer entries; reduce first")
-            row.append(x.numerator % p)
-        out.append(row)
-    return out
-
-
-def _mod_matmul(A, B, p):
-    n, m = len(A), len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        arow = A[i]
-        orow = out[i]
-        for k, a in enumerate(arow):
-            if not a:
-                continue
-            brow = B[k]
-            for j, b in enumerate(brow):
-                if b:
-                    orow[j] = (orow[j] + a * b) % p
-    return out
+def _residue_rows(A, p):
+    d, rows = _int_rows(A)
+    if d != 1:
+        raise ParameterError("mod-p Penrose check needs integer entries; reduce first")
+    return [[v % p for v in row] for row in rows]
 
 
 def penrose_check_mod_p(A, X, p):
@@ -393,25 +383,19 @@ def penrose_check_mod_p(A, X, p):
     A and X must carry integer entries (already reduced, e.g. through
     rat_matrix_mod_p).
     """
-    if X.rows != A.cols or X.cols != A.rows:
-        raise ShapeError(
-            f"X must be {A.cols}x{A.rows} for A {A.rows}x{A.cols}, "
-            f"got {X.rows}x{X.cols}"
-        )
-    a = _int_rows_mod(A, p)
-    x = _int_rows_mod(X, p)
-    ax = _mod_matmul(a, x, p)
-    xa = _mod_matmul(x, a, p)
-    axa = _mod_matmul(ax, a, p)
-    xax = _mod_matmul(xa, x, p)
-    sym = lambda M: all(
-        M[i][j] == M[j][i] for i in range(len(M)) for j in range(i + 1, len(M))
-    )
+    _check_pair(A, X)
+    a = _residue_rows(A, p)
+    x = _residue_rows(X, p)
+
+    def product(left, right, ncols):
+        return [[v % p for v in row] for row in _matmul(left, right, ncols)]
+
+    ax = product(a, x, A.rows)
     return PenroseReport(
-        cond1=axa == a,
-        cond2=xax == x,
-        cond3=sym(ax),
-        cond4=sym(xa),
+        cond1=product(ax, a, A.cols) == a,
+        cond2=product(x, ax, A.rows) == x,
+        cond3=_is_symmetric(ax),
+        cond4=_is_symmetric(product(x, a, A.cols)),
     )
 
 
@@ -419,8 +403,7 @@ def first_difference(A, B):
     """(i, j) of the first entry where A and B differ, or None if equal."""
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ShapeError("shape mismatch")
-    for i in range(A.rows):
-        for j in range(A.cols):
-            if A.at(i, j) != B.at(i, j):
-                return (i, j)
+    for index, (x, y) in enumerate(zip(A.entries, B.entries)):
+        if x != y:
+            return divmod(index, A.cols)
     return None

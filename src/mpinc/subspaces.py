@@ -16,9 +16,15 @@ from itertools import product
 
 from .combinat import binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
-from .gf import GFMatrix, build_field, rref_gf
+from .gf import GFMatrix, build_field, factor_prime_power, rref_gf
 from .linalg import IncidenceMatrix, RatMatrix
 from .subsets import all_subsets
+
+
+def _check_params(n, q, r, c):
+    factor_prime_power(q)
+    if not (0 <= r <= c <= n):
+        raise ParameterError(f"need 0 <= r <= c <= n, got r={r}, c={c}, n={n}")
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,7 @@ def subspace_mpinv_class_values(n, q, r, c):
     with N = max(n, r+c). As in the set case, the numerator at i = r is the
     empty product 1; everything else follows the zero convention.
     """
-    if not (0 <= r <= c <= n):
-        raise ParameterError(f"need 0 <= r <= c <= n, got r={r}, c={c}, n={n}")
+    _check_params(n, q, r, c)
     N = max(n, r + c)
     values = []
     for i in range(r + 1):
@@ -243,15 +248,13 @@ def char_p_admissible_subspace(n, q, r, c, p):
     True iff p divides neither q nor any of [N-r, c-r]_q, [N-c, 0]_q, ...,
     [N-c, r]_q. Sufficient for that: p > max(n-r, c) with p not dividing q.
     """
-    if not (0 <= r <= c <= n):
-        raise ParameterError(f"need 0 <= r <= c <= n, got r={r}, c={c}, n={n}")
+    _check_params(n, q, r, c)
     return all(value % p != 0 for _, value in _subspace_admissibility_factors(n, q, r, c))
 
 
 def char_p_obstruction_subspace(n, q, r, c, p):
     """Name and value of the first factor divisible by p, or None if admissible."""
-    if not (0 <= r <= c <= n):
-        raise ParameterError(f"need 0 <= r <= c <= n, got r={r}, c={c}, n={n}")
+    _check_params(n, q, r, c)
     for name, value in _subspace_admissibility_factors(n, q, r, c):
         if value % p == 0:
             return f"{name} = {value}"

@@ -53,6 +53,35 @@ def test_mpinv_subspace_mod_q_inadmissible(capsys):
     assert "q = 2" in err
 
 
+@pytest.mark.parametrize("mod", ["", "--mod 7", "--mod 2"])
+def test_mpinv_subspace_refuses_non_prime_power_q(capsys, mod):
+    code, out, err = run(
+        capsys, ["mpinv", "subspace", "--n", "3", "--q", "6", "--r", "1", "--c", "2", *mod.split()]
+    )
+    assert code == 2
+    assert out == ""
+    assert "6 is not a prime power" in err
+
+
+@pytest.mark.parametrize("mod", ["0", "-3", "1", "4"])
+def test_mpinv_refuses_non_prime_modulus(capsys, mod):
+    for kind in (["set"], ["subspace", "--q", "2"]):
+        code, out, err = run(
+            capsys, ["mpinv", *kind, "--n", "4", "--r", "1", "--c", "2", "--mod", mod]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--mod {mod}" in err
+
+
+def test_main_twice_gives_independent_results(capsys):
+    first = run(capsys, ["mpinv", "set", "--n", "4", "--r", "1", "--c", "2", "--mod", "5"])
+    assert run(capsys, ["calc", "binomial", "7", "3"]) == (0, "35\n", "")
+    second = run(capsys, ["mpinv", "set", "--n", "4", "--r", "1", "--c", "2"])
+    assert first == (0, json.dumps({"i=1": "2", "i=0": "4"}, indent=2) + "\n", "")
+    assert json.loads(second[1]) == {"i=1": "1/3", "i=0": "-1/6"}
+
+
 def test_mpinv_set_expand_csv_round_trips(capsys):
     code, out, _ = run(
         capsys,

@@ -1,7 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mpinc.linalg
 from mpinc.errors import ParameterError, ShapeError, ZeroMatrixError
 from mpinc.linalg import (
     IncidenceMatrix,
@@ -207,3 +212,91 @@ def test_first_difference():
     assert first_difference(A, A) is None
     with pytest.raises(ShapeError):
         first_difference(A, M([[1, 2]]))
+
+
+def with_zero_row_and_column(A, rng):
+    rows = A.to_rows()
+    i = rng.randint(0, A.rows)
+    rows.insert(i, [Fraction(0)] * A.cols)
+    j = rng.randint(0, A.cols)
+    return M([row[:j] + [Fraction(0)] + row[j:] for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(
+        lambda x: x.denominator > 1
+    ),
+)
+def test_oracle_rank_deficient_rational(rnd, scale):
+    A = with_zero_row_and_column(random_matrix(rnd, max_dim=6).scale(scale), rnd)
+    assert rref_rational(A)[1] < min(A.rows, A.cols)
+    X = pseudoinverse_oracle(A)
+    assert penrose_check(A, X).all_ok
+    assert pseudoinverse_oracle(X) == A
+
+
+# (A, X) pairs where exactly one Penrose condition fails
+ONE_CONDITION_FAILS = {
+    "cond1": (M([[1, 2], [0, 0]]), RatMatrix.zeros(2, 2)),
+    "cond2": (RatMatrix.zeros(2, 2), M([[1, 0], [Fraction(1, 3), 1]])),
+    "cond3": (M([[1], [1]]), M([[1, 0]])),
+    "cond4": (M([[1, 1]]), M([[1], [0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CONDITION_FAILS))
+def test_penrose_check_flags_exactly_one_condition(name):
+    A, X = ONE_CONDITION_FAILS[name]
+    report = penrose_check(A, X)
+    failed = {c for c in ("cond1", "cond2", "cond3", "cond4") if not getattr(report, c)}
+    assert failed == {name}
+    assert penrose_check(A, pseudoinverse_oracle(A)).all_ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_penrose_mod_p_agrees_with_exact_check(rnd):
+    # entries in [0, 2] and dims <= 4 keep every product entry below 4^2 * 2^3 = 128,
+    # so over GF(131) no equality can hold or fail only by wrapping around
+    p = 131
+    rows, cols = rnd.randint(1, 4), rnd.randint(1, 4)
+    if rnd.random() < 0.5:
+        # a partial permutation matrix, whose pseudoinverse is its transpose
+        A = RatMatrix.zeros(rows, cols).to_rows()
+        for i, j in zip(rnd.sample(range(rows), rows), rnd.sample(range(cols), cols)):
+            if rnd.random() < 0.7:
+                A[i][j] = Fraction(1)
+        A = M(A)
+        X = A.transpose().to_rows()
+        if rnd.random() < 0.5:
+            X[rnd.randrange(cols)][rnd.randrange(rows)] += 1
+        X = M(X)
+    else:
+        A = M([[rnd.randint(0, 2) for _ in range(cols)] for _ in range(rows)])
+        X = M([[rnd.randint(0, 2) for _ in range(rows)] for _ in range(cols)])
+    assert penrose_check_mod_p(A, X, p) == penrose_check(A, X)
+
+
+def test_penrose_mod_p_holds_for_reduced_oracle(rng):
+    for _ in range(15):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = M([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        X = pseudoinverse_oracle(A)
+        for p in (5, 7, 11, 13):
+            if all(x.denominator % p for x in X.entries):
+                Ap = rat_matrix_mod_p(A, p)
+                assert penrose_check_mod_p(Ap, rat_matrix_mod_p(X, p), p).all_ok
+
+
+def test_linalg_imports_no_family_module():
+    tree = ast.parse(Path(mpinc.linalg.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"subsets", "subspaces", "designs"}
