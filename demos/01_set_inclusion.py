@@ -10,25 +10,26 @@ rational numbers.
 
 from mpinc import (
     all_subsets,
-    build_set_incidence,
+    build_incidence,
+    class_matrix,
     expand_class_matrix,
     first_difference,
     penrose_check,
     pseudoinverse_oracle,
-    set_class_matrix,
 )
 
-n, r, c = 5, 1, 2
+# sets are the q = 1 member of the inclusion family
+n, q, r, c = 5, 1, 1, 2
 
 print(f"M({n}; {r}, {c}): rows are {r}-subsets, columns are {c}-subsets")
-M = build_set_incidence(n, r, c)
+M = build_incidence(n, q, r, c)
 print(f"shape {M.rows} x {M.cols}, {M.nnz()} ones")
 for i, R in enumerate(all_subsets(n, r)):
     marks = "".join(".#"[M.at(i, j)] for j in range(M.cols))
     print(f"  {set(R)}  {marks}")
 
 # the closed form: one rational per intersection size
-cm = set_class_matrix(n, r, c)
+cm = class_matrix(n, q, r, c)
 print("\npseudoinverse entry by intersection size i:")
 for i in range(r, -1, -1):
     print(f"  i={i}: {cm.values[i]}")

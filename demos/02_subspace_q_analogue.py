@@ -9,17 +9,17 @@ intersection classes i = dim(R intersect C).
 """
 
 from mpinc import (
-    build_subspace_incidence,
+    build_incidence,
+    class_matrix,
     count_contained_with_intersection,
     count_containing_with_intersection,
     enumerate_subspaces,
-    expand_qclass_matrix,
+    expand_class_matrix,
     gaussian_binomial,
     intersection_dim,
     penrose_check,
     pseudoinverse_oracle,
     render_element,
-    subspace_class_matrix,
 )
 
 n, q, r, c = 3, 2, 1, 2
@@ -34,15 +34,15 @@ for L in lines:
     ]
     print("  span", " ".join(vecs), " pivots", L.pivots)
 
-M = build_subspace_incidence(n, q, r, c)
+M = build_incidence(n, q, r, c)
 print(f"\nM({n},{q}; {r},{c}) is {M.rows} x {M.cols} with row sums {M.row_sums()[0]}")
 # 7 points on 7 lines, 3 points each: the Fano plane
 
-cm = subspace_class_matrix(n, q, r, c)
+cm = class_matrix(n, q, r, c)
 print("pseudoinverse classes:", {f"i={i}": v for i, v in enumerate(cm.values)})
 
 A = M.to_rat_matrix()
-X = expand_qclass_matrix(cm)
+X = expand_class_matrix(cm)
 print("penrose:", penrose_check(A, X))
 print("equals oracle:", X == pseudoinverse_oracle(A))
 print("n = r+c here, so both MM* and M*M are identities:",

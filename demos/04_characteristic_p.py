@@ -9,28 +9,29 @@ all four Penrose conditions over GF(p).
 """
 
 from mpinc import (
-    build_set_incidence,
-    char_p_admissible_set,
-    char_p_obstruction_set,
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
     expand_class_matrix,
+    mpinv_class_values,
     penrose_check_mod_p,
     rat_matrix_mod_p,
-    set_class_matrix,
-    set_mpinv_class_values,
 )
 
-n, r, c = 4, 1, 2
-print(f"closed-form classes for M({n}; {r}, {c}):", set_mpinv_class_values(n, r, c))
+# the set family is q = 1
+n, q, r, c = 4, 1, 1, 2
+print(f"closed-form classes for M({n}; {r}, {c}):", mpinv_class_values(n, q, r, c))
 
 for p in (2, 3, 5, 7):
-    ok = char_p_admissible_set(n, r, c, p)
-    note = "" if ok else f"  (p divides {char_p_obstruction_set(n, r, c, p)})"
+    obstruction = char_p_obstruction(n, q, r, c, p)
+    ok = obstruction is None
+    note = "" if ok else f"  (p divides {obstruction})"
     print(f"p = {p}: admissible = {ok}{note}")
 
 # reduce and re-check the Penrose conditions in the admissible case
 p = 5
-A = build_set_incidence(n, r, c).to_rat_matrix()
-X = expand_class_matrix(set_class_matrix(n, r, c))
+A = build_incidence(n, q, r, c).to_rat_matrix()
+X = expand_class_matrix(class_matrix(n, q, r, c))
 Xp = rat_matrix_mod_p(X, p)
 print(f"\nmod {p}, the class values become",
       sorted(set(int(x) for x in Xp.entries)))

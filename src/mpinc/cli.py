@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 from . import formats
-from .combinat import binomial, gaussian_binomial, q_integer
+from .combinat import all_subsets, binomial, gaussian_binomial, q_integer
 from .designs import (
     build_design_incidence,
     m1_mpinv_closed_form,
@@ -23,7 +23,7 @@ from .designs import (
     validated_design,
 )
 from .errors import CharacteristicError, MpincError, NotReducibleError
-from .gf import render_element
+from .gf import factor_prime_power, render_element
 from .linalg import (
     RatMatrix,
     first_difference,
@@ -32,19 +32,12 @@ from .linalg import (
     rat_matrix_mod_p,
 )
 from .rationals import is_prime, rat_mod_p
-from .subsets import (
-    build_set_incidence,
-    char_p_admissible_set,
-    char_p_obstruction_set,
-    expand_class_matrix,
-    set_class_matrix,
-)
 from .subspaces import (
-    build_subspace_incidence,
-    char_p_admissible_subspace,
-    char_p_obstruction_subspace,
-    expand_qclass_matrix,
-    subspace_class_matrix,
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
+    expand_class_matrix,
+    labels,
 )
 
 EXIT_OK = 0
@@ -118,33 +111,34 @@ def _load_design(args):
 # subcommands
 
 def _cmd_build(args):
-    if args.kind == "set":
-        M = build_set_incidence(args.n, args.r, args.c)
-    elif args.kind == "subspace":
-        M = build_subspace_incidence(args.n, args.q, args.r, args.c)
+    if args.kind == "design":
+        M = build_design_incidence(parse_design(args.file), args.s)
     else:
-        D = parse_design(args.file)
-        M = build_design_incidence(D, args.s)
+        M = build_incidence(args.n, args.q, args.r, args.c)
     _emit_matrix(M, args, row_labels=M.row_labels, col_labels=M.col_labels)
     return EXIT_OK
-
-
-def _check_admissible(admissible, obstruction):
-    if not admissible:
-        raise CharacteristicError(f"closed form not admissible: p divides {obstruction}")
 
 
 def _cmd_mpinv(args):
     mod = args.mod
     if mod is not None and not is_prime(mod):
         raise MpincError(f"--mod {mod} is not a prime")
-    if args.kind == "set":
+    if args.kind == "design":
+        D = _load_design(args)
+        if args.s == 1 and D.t >= 2 and D.v > D.k:
+            X = m1_mpinv_closed_form(D)
+        else:
+            X = ms_mpinv_oracle(D, args.s)
+        row_labels, col_labels = D.blocks, all_subsets(D.v, args.s)
+    else:
+        n, q, r, c = args.n, args.q, args.r, args.c
         if mod is not None:
-            _check_admissible(
-                char_p_admissible_set(args.n, args.r, args.c, mod),
-                char_p_obstruction_set(args.n, args.r, args.c, mod),
-            )
-        cm = set_class_matrix(args.n, args.r, args.c)
+            obstruction = char_p_obstruction(n, q, r, c, mod)
+            if obstruction is not None:
+                raise CharacteristicError(
+                    f"closed form not admissible: p divides {obstruction}"
+                )
+        cm = class_matrix(n, q, r, c)
         if not args.expand:
             if args.format != "json":
                 raise MpincError("class values are JSON only; use --expand for csv/mtx")
@@ -153,33 +147,7 @@ def _cmd_mpinv(args):
             _emit(_class_values_json(cm.values, mod), args.out)
             return EXIT_OK
         X = expand_class_matrix(cm)
-        M = build_set_incidence(args.n, args.r, args.c)
-        row_labels, col_labels = M.col_labels, M.row_labels
-    elif args.kind == "subspace":
-        if mod is not None:
-            _check_admissible(
-                char_p_admissible_subspace(args.n, args.q, args.r, args.c, mod),
-                char_p_obstruction_subspace(args.n, args.q, args.r, args.c, mod),
-            )
-        qcm = subspace_class_matrix(args.n, args.q, args.r, args.c)
-        if not args.expand:
-            if args.format != "json":
-                raise MpincError("class values are JSON only; use --expand for csv/mtx")
-            if args.with_labels:
-                raise MpincError("--with-labels needs a matrix output; add --expand")
-            _emit(_class_values_json(qcm.values, mod), args.out)
-            return EXIT_OK
-        X = expand_qclass_matrix(qcm)
-        M = build_subspace_incidence(args.n, args.q, args.r, args.c)
-        row_labels, col_labels = M.col_labels, M.row_labels
-    else:
-        D = _load_design(args)
-        if args.s == 1 and D.t >= 2 and D.v > D.k:
-            X = m1_mpinv_closed_form(D)
-        else:
-            X = ms_mpinv_oracle(D, args.s)
-        M = build_design_incidence(D, args.s)
-        row_labels, col_labels = M.col_labels, M.row_labels
+        row_labels, col_labels = labels(n, q, c), labels(n, q, r)
 
     if mod is not None:
         try:
@@ -196,18 +164,13 @@ def _verify_failure(message):
 
 
 def _cmd_verify(args):
-    if args.kind == "set":
-        M = build_set_incidence(args.n, args.r, args.c)
-        X = expand_class_matrix(set_class_matrix(args.n, args.r, args.c))
-        params = {"n": args.n, "r": args.r, "c": args.c}
-        r_plus_c = args.r + args.c
-    elif args.kind == "subspace":
-        M = build_subspace_incidence(args.n, args.q, args.r, args.c)
-        X = expand_qclass_matrix(subspace_class_matrix(args.n, args.q, args.r, args.c))
-        params = {"n": args.n, "q": args.q, "r": args.r, "c": args.c}
-        r_plus_c = args.r + args.c
-    else:
+    if args.kind == "design":
         return _cmd_verify_design(args)
+    n, q, r, c = args.n, args.q, args.r, args.c
+    M = build_incidence(n, q, r, c)
+    X = expand_class_matrix(class_matrix(n, q, r, c))
+    # a set report (q = 1) carries no field order
+    params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
 
     A = M.to_rat_matrix()
     report = penrose_check(A, X)
@@ -222,9 +185,9 @@ def _cmd_verify(args):
             f"{X.at(*diff)} vs {oracle.at(*diff)}"
         )
     identities = {}
-    if args.n >= r_plus_c:
+    if n >= r + c:
         identities["MM*=I"] = (A @ X).is_identity()
-    if args.n <= r_plus_c:
+    if n <= r + c:
         identities["M*M=I"] = (X @ A).is_identity()
     for name, ok in identities.items():
         if not ok:
@@ -334,15 +297,35 @@ def _add_output_options(p, formats_=("csv", "json", "mtx")):
                    help="include row/column index labels (json only)")
 
 
-def _add_set_params(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+def _field_order(text):
+    """--q of the subspace kind: a prime power (the set kind is q = 1).
+
+    A q that is not a prime power raises InvalidFieldError, which main
+    reports with exit 2.
+    """
+    try:
+        q = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    factor_prime_power(q)
+    return q
 
 
-def _add_subspace_params(p):
-    _add_set_params(p)
-    p.add_argument("--q", type=int, required=True, help="prime power field order")
+def _add_kinds(command):
+    """The set, subspace and design subparsers of one command, in that order.
+
+    set and subspace share one family: both carry q, which is 1 for sets.
+    """
+    kinds = command.add_subparsers(dest="kind", required=True)
+    p_set, p_subspace = kinds.add_parser("set"), kinds.add_parser("subspace")
+    for pk in (p_set, p_subspace):
+        pk.add_argument("--n", type=int, required=True)
+        pk.add_argument("--r", type=int, required=True)
+        pk.add_argument("--c", type=int, required=True)
+    p_set.set_defaults(q=1)
+    p_subspace.add_argument("--q", type=_field_order, required=True,
+                            help="prime power field order")
+    return p_set, p_subspace, kinds.add_parser("design")
 
 
 @cache
@@ -355,32 +338,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="emit an incidence matrix")
-    build_kinds = p_build.add_subparsers(dest="kind", required=True)
-    for kind in ("set", "subspace", "design"):
-        pk = build_kinds.add_parser(kind)
-        if kind == "set":
-            _add_set_params(pk)
-        elif kind == "subspace":
-            _add_subspace_params(pk)
-        else:
-            pk.add_argument("--file", required=True, help="design file")
-            pk.add_argument("--s", type=int, required=True, help="subset size")
+    *family, p_design = _add_kinds(sub.add_parser("build", help="emit an incidence matrix"))
+    p_design.add_argument("--file", required=True, help="design file")
+    p_design.add_argument("--s", type=int, required=True, help="subset size")
+    for pk in (*family, p_design):
         _add_output_options(pk)
         pk.set_defaults(run=_cmd_build)
 
-    p_mpinv = sub.add_parser("mpinv", help="emit the closed-form Moore-Penrose inverse")
-    mpinv_kinds = p_mpinv.add_subparsers(dest="kind", required=True)
-    for kind in ("set", "subspace", "design"):
-        pk = mpinv_kinds.add_parser(kind)
-        if kind == "set":
-            _add_set_params(pk)
-        elif kind == "subspace":
-            _add_subspace_params(pk)
-        else:
-            pk.add_argument("--file", required=True, help="design file")
-            pk.add_argument("--s", type=int, required=True, help="subset size")
-            pk.add_argument("--t", type=int, help="design strength when the file has no header")
+    *family, p_design = _add_kinds(
+        sub.add_parser("mpinv", help="emit the closed-form Moore-Penrose inverse")
+    )
+    p_design.add_argument("--file", required=True, help="design file")
+    p_design.add_argument("--s", type=int, required=True, help="subset size")
+    p_design.add_argument("--t", type=int, help="design strength when the file has no header")
+    for pk in (*family, p_design):
         pk.add_argument("--expand", action="store_true",
                         help="emit the full matrix instead of class values")
         pk.add_argument("--mod", type=int, metavar="P",
@@ -388,18 +359,13 @@ def build_parser():
         _add_output_options(pk)
         pk.set_defaults(run=_cmd_mpinv)
 
-    p_verify = sub.add_parser("verify", help="check closed form against the oracle")
-    verify_kinds = p_verify.add_subparsers(dest="kind", required=True)
-    for kind in ("set", "subspace", "design"):
-        pk = verify_kinds.add_parser(kind)
-        if kind == "set":
-            _add_set_params(pk)
-        elif kind == "subspace":
-            _add_subspace_params(pk)
-        else:
-            pk.add_argument("--file", required=True)
-            pk.add_argument("--s", type=int, required=True)
-            pk.add_argument("--t", type=int)
+    *family, p_design = _add_kinds(
+        sub.add_parser("verify", help="check closed form against the oracle")
+    )
+    p_design.add_argument("--file", required=True)
+    p_design.add_argument("--s", type=int, required=True)
+    p_design.add_argument("--t", type=int)
+    for pk in (*family, p_design):
         pk.add_argument("--out", help="write the report to this path")
         pk.set_defaults(run=_cmd_verify)
 
@@ -432,8 +398,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.run(args)
     except (CharacteristicError, NotReducibleError) as exc:
         print(f"mpinc: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .combinat import binomial
+from .combinat import all_subsets, binomial, subset_rank
 from .errors import DesignParseError, ParameterError, ShapeError, SingularError
 from .linalg import (
     IncidenceMatrix,
@@ -26,7 +26,6 @@ from .linalg import (
     penrose_check,
     pseudoinverse_oracle,
 )
-from .subsets import all_subsets, subset_rank
 
 
 @dataclass(frozen=True)
@@ -362,12 +361,10 @@ def _survey_one(D, s):
     return classes, report, exceptions
 
 
-def survey_designs(designs, s, threads=None):
+def survey_designs(designs, s):
     """Compute M_s^+ for each design and report entry classes by |R intersect B|.
 
     All designs must be validated with identical (t, v, k, lam); s <= k.
-    threads > 1 fans the per-design oracle runs over a thread pool; the
-    report is assembled in input order either way.
     """
     designs = list(designs)
     if not designs:
@@ -382,16 +379,7 @@ def survey_designs(designs, s, threads=None):
     if not (0 <= s <= k):
         raise ParameterError(f"need 0 <= s <= k = {k}, got s={s}")
 
-    if threads is None:
-        env = os.environ.get("MPINC_THREADS", "")
-        threads = int(env) if env.isdigit() else 1
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda D: _survey_one(D, s), designs))
-    else:
-        results = [_survey_one(D, s) for D in designs]
+    results = [_survey_one(D, s) for D in designs]
 
     classes = tuple(r[0] for r in results)
     penrose = tuple(r[1] for r in results)

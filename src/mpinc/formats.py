@@ -7,10 +7,10 @@ Rationals render as "num/den" with the denominator omitted when it is 1.
 
 import json
 import re
+from fractions import Fraction
 
 from .errors import ParameterError
 from .linalg import IncidenceMatrix, RatMatrix
-from .rationals import rational
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -25,8 +25,8 @@ def parse_rational(s):
         raise ParameterError(f"not a rational literal: {s!r}")
     if "/" in s:
         num, den = s.split("/")
-        return rational(int(num), int(den))
-    return rational(int(s))
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))
 
 
 def _as_rat_matrix(M):

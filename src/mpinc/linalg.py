@@ -36,7 +36,7 @@ def _as_fraction(x):
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable row-major matrix of ExactRational entries."""
+    """Immutable row-major matrix of Fraction entries."""
 
     rows: int
     cols: int

@@ -1,6 +1,6 @@
 """Exact rational scalars and their reduction mod p.
 
-ExactRational is fractions.Fraction: arbitrary precision, eagerly reduced,
+Rationals are fractions.Fraction: arbitrary precision, eagerly reduced,
 denominator always positive, zero canonically 0/1. Nothing in the package
 ever touches floating point.
 """
@@ -9,9 +9,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NoInverseError, NotReducibleError, ParameterError
-
-ExactRational = Fraction
-
 
 class ModResidue(NamedTuple):
     """An element of GF(p), p prime: value in [0, p)."""
@@ -36,14 +33,6 @@ def is_prime(p):
     return True
 
 
-def rational(num, den=1):
-    """Reduced fraction num/den with positive denominator.
-
-    Raises ZeroDivisionError when den = 0.
-    """
-    return Fraction(num, den)
-
-
 def _check_prime(p):
     if not is_prime(p):
         raise ParameterError(f"modulus {p} is not prime")
@@ -58,7 +47,7 @@ def mod_inverse(a, p):
 
 
 def rat_mod_p(x, p):
-    """Reduce an ExactRational to GF(p): numerator * denominator^-1 mod p.
+    """Reduce a rational to GF(p): numerator * denominator^-1 mod p.
 
     Raises NotReducibleError when p divides the denominator, which is the
     signal that a closed form does not survive in characteristic p.

@@ -1,170 +1,19 @@
-"""Inclusion matrices of r-subsets vs c-subsets of [n], and their closed-form
-Moore-Penrose inverses.
-
-Rows and columns are indexed colexicographically: the rank of a strictly
-increasing 1-based subset S is sum_j C(S_j - 1, j) over positions j = 1..r.
-The inverse entry depends only on i = |R intersect C|; it is stored as one
-rational per class (ClassMatrix) and expanded on demand.
+"""Set-family names for the q = 1 member of the inclusion family in
+mpinc.subspaces. They are kept for perfbench/worker.py's traced replay, which
+imports them by module path; new code calls mpinc.subspaces with q = 1.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from .subspaces import build_incidence, class_matrix
 
-from .combinat import binomial
-from .errors import ParameterError
-from .linalg import IncidenceMatrix, RatMatrix
-
-
-def _check_params(n, r, c):
-    if not (0 <= r <= c <= n):
-        raise ParameterError(f"need 0 <= r <= c <= n, got r={r}, c={c}, n={n}")
-
-
-def subset_rank(S, n, r):
-    """Colexicographic rank of an r-subset of [1, n]."""
-    S = tuple(S)
-    if len(S) != r:
-        raise ParameterError(f"expected {r} elements, got {len(S)}")
-    prev = 0
-    for x in S:
-        if not (isinstance(x, int) and prev < x <= n):
-            raise ParameterError(f"subset {S} is not strictly increasing within [1, {n}]")
-        prev = x
-    return sum(binomial(x - 1, j) for j, x in enumerate(S, start=1))
-
-
-def subset_unrank(index, n, r):
-    """Inverse of subset_rank: the r-subset of [1, n] with the given colex rank."""
-    total = binomial(n, r)
-    if not (0 <= index < total):
-        raise ParameterError(f"rank {index} out of range [0, {total}) for n={n}, r={r}")
-    out = []
-    rem = index
-    top = n
-    for j in range(r, 0, -1):
-        x = top
-        while binomial(x - 1, j) > rem:
-            x -= 1
-        out.append(x)
-        rem -= binomial(x - 1, j)
-        top = x - 1
-    return tuple(reversed(out))
-
-
-def all_subsets(n, r):
-    """All r-subsets of [1, n] in colexicographic order."""
-    if not (0 <= r <= n):
-        raise ParameterError(f"need 0 <= r <= n, got r={r}, n={n}")
-    subsets = sorted(combinations(range(1, n + 1), r), key=lambda s: s[::-1])
-    return tuple(subsets)
+# Kept for perfbench/worker.py's traced replay, which calls it by module path.
+from .subspaces import expand_class_matrix  # noqa: F401
 
 
 def build_set_incidence(n, r, c):
-    """The C(n,r) x C(n,c) 0/1 matrix with (R, C) entry 1 iff R is a subset of C.
-
-    Row sums are C(n-r, c-r); column sums are C(c, r).
-    """
-    _check_params(n, r, c)
-    r_subsets = all_subsets(n, r)
-    c_subsets = all_subsets(n, c)
-    support = [[] for _ in r_subsets]
-    for col, C in enumerate(c_subsets):
-        for R in combinations(C, r):
-            support[subset_rank(R, n, r)].append(col)
-    return IncidenceMatrix(
-        rows=len(r_subsets),
-        cols=len(c_subsets),
-        row_support=tuple(tuple(sorted(s)) for s in support),
-        row_labels=r_subsets,
-        col_labels=c_subsets,
-    )
-
-
-def set_mpinv_class_values(n, r, c):
-    """The inverse's entry value for each intersection size i = 0..r.
-
-    value(i) = (-1)^(r-i) * C(c-i-1, r-i) / (C(N-r, c-r) * C(N-c, r-i))
-    with N = max(n, r+c). The numerator at i = r is the empty product 1
-    (covers r = c, where C(c-i-1, 0) has a negative top argument); all other
-    binomials follow the zero convention. Denominator factors are always
-    positive since N >= r+c.
-    """
-    _check_params(n, r, c)
-    N = max(n, r + c)
-    values = []
-    for i in range(r + 1):
-        num = 1 if i == r else binomial(c - i - 1, r - i)
-        den = binomial(N - r, c - r) * binomial(N - c, r - i)
-        values.append(Fraction((-1) ** (r - i) * num, den))
-    return tuple(values)
-
-
-@dataclass(frozen=True)
-class ClassMatrix:
-    """Compressed inverse: one rational per intersection class i = 0..r.
-
-    Shape is C(n,c) x C(n,r) (the transpose orientation of the incidence
-    matrix), with entry (C, R) = values[|R intersect C|].
-    """
-
-    n: int
-    r: int
-    c: int
-    N: int
-    values: tuple
-
-    @property
-    def rows(self):
-        return binomial(self.n, self.c)
-
-    @property
-    def cols(self):
-        return binomial(self.n, self.r)
+    # Kept for perfbench/worker.py's traced replay, which calls it by module path.
+    return build_incidence(n, 1, r, c)
 
 
 def set_class_matrix(n, r, c):
-    """ClassMatrix form of the closed-form inverse of build_set_incidence(n, r, c)."""
-    return ClassMatrix(
-        n=n, r=r, c=c, N=max(n, r + c), values=set_mpinv_class_values(n, r, c)
-    )
-
-
-def expand_class_matrix(cm):
-    """Dense C(n,c) x C(n,r) matrix with entry (C, R) = values[|R intersect C|]."""
-    r_subsets = all_subsets(cm.n, cm.r)
-    c_subsets = all_subsets(cm.n, cm.c)
-    values = cm.values
-    flat = []
-    for C in c_subsets:
-        Cset = set(C)
-        flat.extend(values[len(Cset.intersection(R))] for R in r_subsets)
-    return RatMatrix(len(c_subsets), len(r_subsets), tuple(flat))
-
-
-def _set_admissibility_factors(n, r, c):
-    N = max(n, r + c)
-    factors = [(f"binomial({N - r},{c - r})", binomial(N - r, c - r))]
-    factors.extend(
-        (f"binomial({N - c},{i})", binomial(N - c, i)) for i in range(r + 1)
-    )
-    return factors
-
-
-def char_p_admissible_set(n, r, c, p):
-    """Whether the closed form reduces to a valid inverse over GF(p).
-
-    True iff p divides none of C(N-r, c-r), C(N-c, 0), ..., C(N-c, r).
-    Sufficient (not necessary) for that: p > max(n-r, c).
-    """
-    _check_params(n, r, c)
-    return all(value % p != 0 for _, value in _set_admissibility_factors(n, r, c))
-
-
-def char_p_obstruction_set(n, r, c, p):
-    """Name and value of the first factor divisible by p, or None if admissible."""
-    _check_params(n, r, c)
-    for name, value in _set_admissibility_factors(n, r, c):
-        if value % p == 0:
-            return f"{name} = {value}"
-    return None
+    # Kept for perfbench/worker.py's traced replay, which calls it by module path.
+    return class_matrix(n, 1, r, c)

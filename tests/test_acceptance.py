@@ -36,22 +36,16 @@ from mpinc.linalg import (
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
-from mpinc.subsets import (
-    build_set_incidence,
-    char_p_admissible_set,
-    expand_class_matrix,
-    set_class_matrix,
-)
 from mpinc.subspaces import (
     SubspaceBasis,
-    build_subspace_incidence,
-    char_p_admissible_subspace,
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
     count_contained_with_intersection,
     count_containing_with_intersection,
     enumerate_subspaces,
-    expand_qclass_matrix,
+    expand_class_matrix,
     intersection_dim,
-    subspace_class_matrix,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,8 +72,8 @@ def set_sweep():
     for n in range(0, 9):
         for c in range(0, n + 1):
             for r in range(0, c + 1):
-                A = build_set_incidence(n, r, c).to_rat_matrix()
-                X = expand_class_matrix(set_class_matrix(n, r, c))
+                A = build_incidence(n, 1, r, c).to_rat_matrix()
+                X = expand_class_matrix(class_matrix(n, 1, r, c))
                 if X != pseudoinverse_oracle(A):
                     mismatches.append((n, r, c))
                 pairs[(n, r, c)] = (A, X)
@@ -96,8 +90,8 @@ def q_sweep():
         for n in range(0, n_max + 1):
             for c in range(0, n + 1):
                 for r in range(0, c + 1):
-                    A = build_subspace_incidence(n, q, r, c).to_rat_matrix()
-                    X = expand_qclass_matrix(subspace_class_matrix(n, q, r, c))
+                    A = build_incidence(n, q, r, c).to_rat_matrix()
+                    X = expand_class_matrix(class_matrix(n, q, r, c))
                     if X != pseudoinverse_oracle(A):
                         mismatches.append((q, n, r, c))
                     pairs[(q, n, r, c)] = (A, X)
@@ -266,10 +260,10 @@ def test_criterion_07_characteristic_p_reductions():
         for n in range(0, 7):
             for c in range(0, n + 1):
                 for r in range(0, c + 1):
-                    A = build_set_incidence(n, r, c).to_rat_matrix()
-                    X = expand_class_matrix(set_class_matrix(n, r, c))
+                    A = build_incidence(n, 1, r, c).to_rat_matrix()
+                    X = expand_class_matrix(class_matrix(n, 1, r, c))
                     for p in (2, 3, 5, 7, 11, 13):
-                        if not char_p_admissible_set(n, r, c, p):
+                        if char_p_obstruction(n, 1, r, c, p) is not None:
                             continue
                         Xp = rat_matrix_mod_p(X, p)
                         assert penrose_check_mod_p(A, Xp, p).all_ok, (n, r, c, p)
@@ -279,10 +273,10 @@ def test_criterion_07_characteristic_p_reductions():
         for n in range(0, 5):
             for c in range(0, n + 1):
                 for r in range(0, c + 1):
-                    A = build_subspace_incidence(n, 2, r, c).to_rat_matrix()
-                    X = expand_qclass_matrix(subspace_class_matrix(n, 2, r, c))
+                    A = build_incidence(n, 2, r, c).to_rat_matrix()
+                    X = expand_class_matrix(class_matrix(n, 2, r, c))
                     for p in (3, 5, 7, 11, 13):
-                        if not char_p_admissible_subspace(n, 2, r, c, p):
+                        if char_p_obstruction(n, 2, r, c, p) is not None:
                             continue
                         Xp = rat_matrix_mod_p(X, p)
                         assert penrose_check_mod_p(A, Xp, p).all_ok, (n, r, c, p)

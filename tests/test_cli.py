@@ -7,7 +7,7 @@ import pytest
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx
 from mpinc.linalg import RatMatrix
-from mpinc.subsets import build_set_incidence, expand_class_matrix, set_class_matrix
+from mpinc.subspaces import build_incidence, class_matrix, expand_class_matrix
 
 FANO = "samples/fano/fano.blk"
 
@@ -88,7 +88,7 @@ def test_mpinv_set_expand_csv_round_trips(capsys):
         ["mpinv", "set", "--n", "4", "--r", "1", "--c", "2", "--expand", "--format", "csv"],
     )
     assert code == 0
-    assert parse_csv(out) == expand_class_matrix(set_class_matrix(4, 1, 2))
+    assert parse_csv(out) == expand_class_matrix(class_matrix(4, 1, 1, 2))
 
 
 def test_build_set_mtx(capsys):
@@ -97,7 +97,7 @@ def test_build_set_mtx(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "4 6 12"
-    assert parse_mtx(out).to_rat_matrix() == build_set_incidence(4, 1, 2).to_rat_matrix()
+    assert parse_mtx(out).to_rat_matrix() == build_incidence(4, 1, 1, 2).to_rat_matrix()
 
 
 def test_build_rejects_bad_parameters(capsys):

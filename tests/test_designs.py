@@ -1,10 +1,10 @@
 import io
-import json
 import os
 from fractions import Fraction
 
 import pytest
 
+from mpinc.combinat import all_subsets
 from mpinc.designs import (
     Design,
     build_design_incidence,
@@ -20,7 +20,6 @@ from mpinc.designs import (
 )
 from mpinc.errors import DesignParseError, ParameterError, SingularError
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
-from mpinc.subsets import all_subsets
 
 FANO = "samples/fano/fano.blk"
 PAIRS = "samples/pairs/pairs42.blk"
@@ -306,12 +305,3 @@ def test_survey_rejects_mixed_parameters():
     with pytest.raises(ParameterError):
         survey_designs([A, B], 1)
 
-
-def test_survey_thread_env_stable(monkeypatch):
-    V1 = validated_design(parse_design(FANO), 2)
-    V2 = validated_design(parse_design(io.StringIO(
-        "\n".join(" ".join(map(str, B)) for B in V1.blocks)), name="fano-copy"), 2)
-    base = survey_designs([V1, V2], 1).to_json_dict()
-    monkeypatch.setenv("MPINC_THREADS", "2")
-    threaded = survey_designs([V1, V2], 1).to_json_dict()
-    assert json.dumps(base, sort_keys=True) == json.dumps(threaded, sort_keys=True)

@@ -14,8 +14,7 @@ from mpinc.formats import (
     write_mtx,
 )
 from mpinc.linalg import RatMatrix
-from mpinc.subsets import build_set_incidence
-from mpinc.subspaces import build_subspace_incidence
+from mpinc.subspaces import build_incidence
 
 
 SAMPLE = RatMatrix.from_rows(
@@ -76,7 +75,7 @@ def test_json_shape_mismatch_rejected():
 
 
 def test_mtx_round_trip_set_incidence():
-    inc = build_set_incidence(3, 1, 2)
+    inc = build_incidence(3, 1, 1, 2)
     text = write_mtx(inc.to_rat_matrix())
     lines = text.splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate pattern general"
@@ -87,13 +86,13 @@ def test_mtx_round_trip_set_incidence():
 
 
 def test_mtx_round_trip_subspace_incidence():
-    inc = build_subspace_incidence(3, 2, 1, 2)
+    inc = build_incidence(3, 2, 1, 2)
     back = parse_mtx(write_mtx(inc.to_rat_matrix()))
     assert back.to_rat_matrix() == inc.to_rat_matrix()
 
 
 def test_mtx_entries_one_based_and_sorted():
-    inc = build_set_incidence(3, 1, 2)
+    inc = build_incidence(3, 1, 1, 2)
     body = write_mtx(inc.to_rat_matrix()).splitlines()[2:]
     pairs = [tuple(map(int, ln.split())) for ln in body]
     assert min(min(p) for p in pairs) == 1

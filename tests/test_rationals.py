@@ -5,31 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpinc.errors import NoInverseError, NotReducibleError, ParameterError
-from mpinc.rationals import ModResidue, is_prime, mod_inverse, rat_mod_p, rational
+from mpinc.rationals import ModResidue, is_prime, mod_inverse, rat_mod_p
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50
 )
-
-
-def test_rational_reduces():
-    assert rational(2, 4) == Fraction(1, 2)
-
-
-def test_rational_sign_normalization():
-    x = rational(3, -6)
-    assert x == Fraction(-1, 2)
-    assert x.denominator == 2
-
-
-def test_rational_zero_canonical():
-    x = rational(0, 7)
-    assert x.numerator == 0 and x.denominator == 1
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_is_prime_small():

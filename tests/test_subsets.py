@@ -5,16 +5,14 @@ import pytest
 
 from mpinc.errors import ParameterError
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
-from mpinc.subsets import (
-    all_subsets,
-    build_set_incidence,
-    char_p_admissible_set,
-    char_p_obstruction_set,
+from mpinc import subsets
+from mpinc.combinat import all_subsets, subset_rank, subset_unrank
+from mpinc.subspaces import (
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
     expand_class_matrix,
-    set_class_matrix,
-    set_mpinv_class_values,
-    subset_rank,
-    subset_unrank,
+    mpinv_class_values,
 )
 
 
@@ -56,22 +54,22 @@ def test_all_subsets_order_is_colex():
 
 
 def test_incidence_r_equals_c_is_identity():
-    assert build_set_incidence(2, 1, 1).to_rat_matrix() == RatMatrix.identity(2)
-    assert build_set_incidence(4, 2, 2).to_rat_matrix() == RatMatrix.identity(6)
+    assert build_incidence(2, 1, 1, 1).to_rat_matrix() == RatMatrix.identity(2)
+    assert build_incidence(4, 1, 2, 2).to_rat_matrix() == RatMatrix.identity(6)
 
 
 def test_incidence_row_col_sums():
     from mpinc.combinat import binomial
 
     for (n, r, c) in [(3, 1, 2), (5, 2, 3), (6, 1, 4), (4, 0, 2)]:
-        inc = build_set_incidence(n, r, c)
+        inc = build_incidence(n, 1, r, c)
         # rows are r-subsets, columns are c-subsets
         assert inc.row_sums() == [binomial(n - r, c - r)] * inc.rows
         assert inc.col_sums() == [binomial(c, r)] * inc.cols
 
 
 def test_incidence_entry_is_containment():
-    inc = build_set_incidence(5, 2, 3)
+    inc = build_incidence(5, 1, 2, 3)
     rows = all_subsets(5, 2)
     cols = all_subsets(5, 3)
     for i, R in enumerate(rows):
@@ -80,37 +78,37 @@ def test_incidence_entry_is_containment():
 
 
 def test_class_values_4_1_2():
-    cm = set_class_matrix(4, 1, 2)
+    cm = class_matrix(4, 1, 1, 2)
     assert cm.N == 4
     assert cm.values == (Fraction(-1, 6), Fraction(1, 3))
 
 
 def test_class_values_5_2_2():
-    cm = set_class_matrix(5, 2, 2)
+    cm = class_matrix(5, 1, 2, 2)
     assert cm.values == (0, 0, 1)
 
 
 def test_class_values_r_zero():
-    cm = set_class_matrix(3, 0, 2)
+    cm = class_matrix(3, 1, 0, 2)
     # single class i=0, uniform value 1/binomial(3,2)
     assert cm.values == (Fraction(1, 3),)
 
 
 def test_class_values_small_n_padded():
     # n < r+c pads the ambient size up to r+c
-    assert set_class_matrix(2, 1, 2).N == 3
-    assert set_mpinv_class_values(2, 1, 2) == set_mpinv_class_values(3, 1, 2)
+    assert class_matrix(2, 1, 1, 2).N == 3
+    assert mpinv_class_values(2, 1, 1, 2) == mpinv_class_values(3, 1, 1, 2)
 
 
 def test_class_matrix_validates():
     with pytest.raises(ParameterError):
-        set_class_matrix(4, 3, 2)
+        class_matrix(4, 1, 3, 2)
     with pytest.raises(ParameterError):
-        set_class_matrix(4, -1, 2)
+        class_matrix(4, 1, -1, 2)
 
 
 def test_expand_shape_and_entries():
-    cm = set_class_matrix(4, 1, 2)
+    cm = class_matrix(4, 1, 1, 2)
     X = expand_class_matrix(cm)
     assert (X.rows, X.cols) == (6, 4)
     rows = all_subsets(4, 2)
@@ -125,8 +123,8 @@ def test_expand_matches_oracle_small():
     for n in range(0, 6):
         for c in range(0, n + 1):
             for r in range(0, c + 1):
-                A = build_set_incidence(n, r, c).to_rat_matrix()
-                X = expand_class_matrix(set_class_matrix(n, r, c))
+                A = build_incidence(n, 1, r, c).to_rat_matrix()
+                X = expand_class_matrix(class_matrix(n, 1, r, c))
                 if A.is_zero():
                     assert X == RatMatrix.zeros(A.cols, A.rows)
                     continue
@@ -136,8 +134,8 @@ def test_expand_matches_oracle_small():
 
 def test_regime_identities_small():
     for (n, r, c) in [(6, 2, 3), (5, 2, 3), (4, 1, 3), (4, 2, 3), (3, 1, 2)]:
-        A = build_set_incidence(n, r, c).to_rat_matrix()
-        X = expand_class_matrix(set_class_matrix(n, r, c))
+        A = build_incidence(n, 1, r, c).to_rat_matrix()
+        X = expand_class_matrix(class_matrix(n, 1, r, c))
         if n >= r + c:
             assert A @ X == RatMatrix.identity(A.rows)
         if n <= r + c:
@@ -145,16 +143,16 @@ def test_regime_identities_small():
 
 
 def test_char_p_admissible_examples():
-    assert char_p_admissible_set(4, 1, 2, 5)
-    assert not char_p_admissible_set(4, 1, 2, 3)
+    assert char_p_obstruction(4, 1, 1, 2, 5) is None
+    assert char_p_obstruction(4, 1, 1, 2, 3) is not None
     # every prime beyond the largest binomial argument is admissible
-    assert char_p_admissible_set(6, 2, 3, 11)
+    assert char_p_obstruction(6, 1, 2, 3, 11) is None
 
 
 def test_char_p_obstruction_names_a_factor():
-    msg = char_p_obstruction_set(4, 1, 2, 3)
+    msg = char_p_obstruction(4, 1, 1, 2, 3)
     assert msg == "binomial(3,1) = 3"
-    assert char_p_obstruction_set(4, 1, 2, 5) is None
+    assert char_p_obstruction(4, 1, 1, 2, 5) is None
 
 
 def test_char_p_matches_direct_divisibility():
@@ -168,4 +166,15 @@ def test_char_p_matches_direct_divisibility():
                     facs = [binomial(N - r, c - r)]
                     facs += [binomial(N - c, r - i) for i in range(r + 1)]
                     want = all(f % p != 0 for f in facs)
-                    assert char_p_admissible_set(n, r, c, p) == want
+                    assert (char_p_obstruction(n, 1, r, c, p) is None) == want
+
+
+def test_replay_aliases_are_the_q1_family():
+    from mpinc import subspaces
+
+    assert subsets.build_set_incidence(5, 2, 3) == build_incidence(5, 1, 2, 3)
+    assert subsets.set_class_matrix(5, 2, 3) == class_matrix(5, 1, 2, 3)
+    assert subsets.expand_class_matrix is expand_class_matrix
+    assert subspaces.build_subspace_incidence is build_incidence
+    assert subspaces.subspace_class_matrix is class_matrix
+    assert subspaces.expand_qclass_matrix is expand_class_matrix

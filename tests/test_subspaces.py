@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,17 +8,15 @@ from mpinc.errors import ParameterError
 from mpinc.gf import build_field, rref_gf
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
-    SubspaceBasis,
-    build_subspace_incidence,
-    char_p_admissible_subspace,
-    char_p_obstruction_subspace,
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
     count_contained_with_intersection,
     count_containing_with_intersection,
     enumerate_subspaces,
-    expand_qclass_matrix,
+    expand_class_matrix,
     intersection_dim,
-    subspace_class_matrix,
-    subspace_mpinv_class_values,
+    mpinv_class_values,
 )
 
 
@@ -75,18 +74,18 @@ def test_intersection_dim():
 
 
 def test_incidence_r_equals_c_identity():
-    assert build_subspace_incidence(2, 2, 1, 1).to_rat_matrix() == RatMatrix.identity(3)
+    assert build_incidence(2, 2, 1, 1).to_rat_matrix() == RatMatrix.identity(3)
 
 
 def test_incidence_fano_lines_in_planes():
-    inc = build_subspace_incidence(3, 2, 1, 2)
+    inc = build_incidence(3, 2, 1, 2)
     assert (inc.rows, inc.cols) == (7, 7)
     assert inc.row_sums() == [3] * 7
     assert inc.col_sums() == [3] * 7
 
 
 def test_incidence_zero_subspace_row():
-    inc = build_subspace_incidence(3, 2, 0, 1)
+    inc = build_incidence(3, 2, 0, 1)
     assert (inc.rows, inc.cols) == (1, 7)
     assert inc.row_sums() == [7]
 
@@ -94,7 +93,7 @@ def test_incidence_zero_subspace_row():
 def test_incidence_entries_match_containment():
     lines = enumerate_subspaces(3, 2, 1)
     planes = enumerate_subspaces(3, 2, 2)
-    inc = build_subspace_incidence(3, 2, 1, 2)
+    inc = build_incidence(3, 2, 1, 2)
     for i, L in enumerate(lines):
         for j, P in enumerate(planes):
             contained = intersection_dim(L, P) == L.dim
@@ -102,30 +101,30 @@ def test_incidence_entries_match_containment():
 
 
 def test_class_values_fano():
-    cm = subspace_class_matrix(3, 2, 1, 2)
+    cm = class_matrix(3, 2, 1, 2)
     assert cm.values == (Fraction(-1, 6), Fraction(1, 3))
     assert cm.N == 3
 
 
 def test_class_values_r_equals_c():
-    assert subspace_mpinv_class_values(3, 2, 2, 2) == (0, 0, 1)
+    assert mpinv_class_values(3, 2, 2, 2) == (0, 0, 1)
 
 
 def test_class_values_ambient_padding():
     # n < r+c computes in the padded ambient dimension
-    assert subspace_class_matrix(2, 2, 1, 2).N == 3
-    assert subspace_mpinv_class_values(2, 2, 1, 2) == subspace_mpinv_class_values(3, 2, 1, 2)
+    assert class_matrix(2, 2, 1, 2).N == 3
+    assert mpinv_class_values(2, 2, 1, 2) == mpinv_class_values(3, 2, 1, 2)
 
 
 def test_expand_zero_subspace_column():
-    X = expand_qclass_matrix(subspace_class_matrix(3, 2, 0, 1))
+    X = expand_class_matrix(class_matrix(3, 2, 0, 1))
     assert (X.rows, X.cols) == (7, 1)
     assert X.to_rows() == [[Fraction(1, 7)]] * 7
 
 
 def test_expand_entries_by_intersection_class():
-    cm = subspace_class_matrix(3, 2, 1, 2)
-    X = expand_qclass_matrix(cm)
+    cm = class_matrix(3, 2, 1, 2)
+    X = expand_class_matrix(cm)
     lines = enumerate_subspaces(3, 2, 1)
     planes = enumerate_subspaces(3, 2, 2)
     for i, P in enumerate(planes):
@@ -135,26 +134,26 @@ def test_expand_entries_by_intersection_class():
 
 def test_expand_matches_oracle():
     for (n, q, r, c) in [(3, 2, 1, 2), (4, 2, 1, 2), (3, 3, 1, 2), (2, 4, 1, 1), (4, 2, 2, 2)]:
-        A = build_subspace_incidence(n, q, r, c).to_rat_matrix()
-        X = expand_qclass_matrix(subspace_class_matrix(n, q, r, c))
+        A = build_incidence(n, q, r, c).to_rat_matrix()
+        X = expand_class_matrix(class_matrix(n, q, r, c))
         assert X == pseudoinverse_oracle(A)
         assert penrose_check(A, X).all_ok
 
 
 def test_regime_identities():
     # n > r+c: right inverse only
-    A = build_subspace_incidence(4, 2, 1, 2).to_rat_matrix()
-    X = expand_qclass_matrix(subspace_class_matrix(4, 2, 1, 2))
+    A = build_incidence(4, 2, 1, 2).to_rat_matrix()
+    X = expand_class_matrix(class_matrix(4, 2, 1, 2))
     assert A @ X == RatMatrix.identity(A.rows)
     assert X @ A != RatMatrix.identity(A.cols)
     # n = r+c: two-sided
-    A = build_subspace_incidence(3, 2, 1, 2).to_rat_matrix()
-    X = expand_qclass_matrix(subspace_class_matrix(3, 2, 1, 2))
+    A = build_incidence(3, 2, 1, 2).to_rat_matrix()
+    X = expand_class_matrix(class_matrix(3, 2, 1, 2))
     assert A @ X == RatMatrix.identity(7)
     assert X @ A == RatMatrix.identity(7)
     # n < r+c: left inverse only
-    A = build_subspace_incidence(3, 2, 2, 2).to_rat_matrix()
-    X = expand_qclass_matrix(subspace_class_matrix(3, 2, 2, 2))
+    A = build_incidence(3, 2, 2, 2).to_rat_matrix()
+    X = expand_class_matrix(class_matrix(3, 2, 2, 2))
     assert X @ A == RatMatrix.identity(A.cols)
 
 
@@ -218,33 +217,36 @@ def test_count_containing_against_enumeration():
 
 
 def test_count_contained_against_enumeration():
-    n, q, c = 3, 2, 2
-    planes = enumerate_subspaces(n, q, c)
-    C = planes[0]
-    for Cp in planes:
-        k = intersection_dim(C, Cp)
-        for r in (1, 2):
-            if k > r:
-                continue
-            spaces_r = enumerate_subspaces(n, q, r)
-            for i in range(0, k + 1):
-                want = count_contained_with_intersection(n, q, c, k, r, i)
-                got = sum(
-                    1
-                    for R in spaces_r
-                    if intersection_dim(R, Cp) == R.dim and intersection_dim(R, C) == i
-                )
-                assert got == want, (k, r, i)
+    # every realizable class k = dim(C intersect C') <= c, k > r included
+    for q, n_max in ((2, 4), (3, 3)):
+        for n in range(n_max + 1):
+            for c in range(n + 1):
+                spaces_c = enumerate_subspaces(n, q, c)
+                C = spaces_c[0]
+                witnesses = {}
+                for Cp in spaces_c:
+                    witnesses.setdefault(intersection_dim(C, Cp), Cp)
+                for k, Cp in witnesses.items():
+                    for r in range(c + 1):
+                        tally = Counter(
+                            intersection_dim(R, C)
+                            for R in enumerate_subspaces(n, q, r)
+                            if intersection_dim(R, Cp) == r
+                        )
+                        assert set(tally) <= set(range(min(k, r) + 1))
+                        for i in range(min(k, r) + 1):
+                            want = count_contained_with_intersection(n, q, c, k, r, i)
+                            assert tally[i] == want, (q, n, c, k, r, i)
 
 
 def test_char_p_admissible_examples():
-    assert char_p_admissible_subspace(3, 2, 1, 2, 5)
-    assert not char_p_admissible_subspace(3, 2, 1, 2, 3)
+    assert char_p_obstruction(3, 2, 1, 2, 5) is None
+    assert char_p_obstruction(3, 2, 1, 2, 3) is not None
     # p = q is never admissible
-    assert not char_p_admissible_subspace(3, 2, 1, 2, 2)
+    assert char_p_obstruction(3, 2, 1, 2, 2) is not None
 
 
 def test_char_p_obstruction_text():
-    assert char_p_obstruction_subspace(3, 2, 1, 2, 3) == "gaussian_binomial(2,1;q=2) = 3"
-    assert char_p_obstruction_subspace(3, 2, 1, 2, 5) is None
-    assert char_p_obstruction_subspace(3, 2, 1, 2, 2) == "q = 2"
+    assert char_p_obstruction(3, 2, 1, 2, 3) == "gaussian_binomial(2,1;q=2) = 3"
+    assert char_p_obstruction(3, 2, 1, 2, 5) is None
+    assert char_p_obstruction(3, 2, 1, 2, 2) == "q = 2"
