@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -22,10 +23,9 @@ from .designs import (
     survey_designs,
     validated_design,
 )
-from .errors import CharacteristicError, MpincError, NotReducibleError
+from .errors import CharacteristicError, DesignParseError, MpincError, NotReducibleError
 from .gf import factor_prime_power, render_element
 from .linalg import (
-    RatMatrix,
     first_difference,
     penrose_check,
     pseudoinverse_oracle,
@@ -95,9 +95,8 @@ def _class_values_json(values, mod=None):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _load_design(args):
-    D = parse_design(args.file)
-    t = args.t
+def _load_design(path, t):
+    D = parse_design(path)
     if t is None and D.declared is not None:
         t = D.declared[0]
     if t is None:
@@ -124,7 +123,7 @@ def _cmd_mpinv(args):
     if mod is not None and not is_prime(mod):
         raise MpincError(f"--mod {mod} is not a prime")
     if args.kind == "design":
-        D = _load_design(args)
+        D = _load_design(args.file, args.t)
         if args.s == 1 and D.t >= 2 and D.v > D.k:
             X = m1_mpinv_closed_form(D)
         else:
@@ -163,6 +162,16 @@ def _verify_failure(message):
     return EXIT_VERIFY
 
 
+def _penrose_failure(report, inverse):
+    """Print the first Penrose condition that fails and return EXIT_VERIFY,
+    or None when all four hold.
+    """
+    for name, holds in asdict(report).items():
+        if not holds:
+            return _verify_failure(f"{name} fails for {inverse}")
+    return None
+
+
 def _cmd_verify(args):
     if args.kind == "design":
         return _cmd_verify_design(args)
@@ -174,9 +183,9 @@ def _cmd_verify(args):
 
     A = M.to_rat_matrix()
     report = penrose_check(A, X)
-    for name in ("cond1", "cond2", "cond3", "cond4"):
-        if not getattr(report, name):
-            return _verify_failure(f"{name} fails for the closed-form inverse")
+    failure = _penrose_failure(report, "the closed-form inverse")
+    if failure is not None:
+        return failure
     oracle = pseudoinverse_oracle(A)
     diff = first_difference(X, oracle)
     if diff is not None:
@@ -196,12 +205,7 @@ def _cmd_verify(args):
     doc = {
         "kind": args.kind,
         **params,
-        "penrose": {
-            "cond1": report.cond1,
-            "cond2": report.cond2,
-            "cond3": report.cond3,
-            "cond4": report.cond4,
-        },
+        "penrose": asdict(report),
         "matches_oracle": True,
         "regime": regime,
         "regime_identities_hold": True,
@@ -212,13 +216,13 @@ def _cmd_verify(args):
 
 
 def _cmd_verify_design(args):
-    D = _load_design(args)
+    D = _load_design(args.file, args.t)
     M = build_design_incidence(D, args.s).to_rat_matrix()
     X = ms_mpinv_oracle(D, args.s)
     report = penrose_check(M, X)
-    for name in ("cond1", "cond2", "cond3", "cond4"):
-        if not getattr(report, name):
-            return _verify_failure(f"{name} fails for the oracle inverse of M_{args.s}")
+    failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")
+    if failure is not None:
+        return failure
     closed_matches = None
     if args.s == 1 and D.t >= 2 and D.v > D.k:
         closed = m1_mpinv_closed_form(D)
@@ -237,12 +241,7 @@ def _cmd_verify_design(args):
         "k": D.k,
         "lambda": D.lam,
         "s": args.s,
-        "penrose": {
-            "cond1": report.cond1,
-            "cond2": report.cond2,
-            "cond3": report.cond3,
-            "cond4": report.cond4,
-        },
+        "penrose": asdict(report),
         "closed_form_matches_oracle": closed_matches,
         "ok": True,
     }
@@ -262,14 +261,8 @@ def _cmd_survey(args):
     designs = []
     for path in files:
         try:
-            D = parse_design(path)
-            t = args.t
-            if t is None and D.declared is not None:
-                t = D.declared[0]
-            if t is None:
-                raise MpincError("no '# t v k lambda' header; pass --t explicitly")
-            designs.append(validated_design(D, t))
-        except MpincError as exc:
+            designs.append(_load_design(path, args.t))
+        except DesignParseError as exc:
             raise MpincError(f"{path.name}: {exc}")
     report = survey_designs(designs, args.s)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)

@@ -18,14 +18,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-from .combinat import all_subsets, binomial, subset_rank
-from .errors import DesignParseError, ParameterError, ShapeError, SingularError
+from .combinat import all_subsets, binomial
+from .errors import DesignParseError, ParameterError, SingularError
 from .linalg import (
     IncidenceMatrix,
     RatMatrix,
     penrose_check,
     pseudoinverse_oracle,
 )
+from .subspaces import inclusion_support
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,11 @@ def validate_design(D, t):
     valid=False and a witness pair of t-subsets with different counts.
     """
     if not (1 <= t <= D.k):
-        raise ParameterError(f"need 1 <= t <= k = {D.k}, got t={t}")
-    counts = {}
-    block_sets = [frozenset(b) for b in D.blocks]
-    for T in combinations(range(1, D.v + 1), t):
-        Tset = set(T)
-        counts[T] = sum(1 for B in block_sets if Tset <= B)
+        raise ParameterError(f"{D.name}: need 1 <= t <= k = {D.k}, got t={t}")
+    subsets = tuple(combinations(range(1, D.v + 1), t))
     distinct = {}
-    for T, count in counts.items():
-        distinct.setdefault(count, T)
+    for T, holders in zip(subsets, inclusion_support(subsets, D.blocks)):
+        distinct.setdefault(len(holders), T)
     if len(distinct) == 1:
         lam = next(iter(distinct))
         return ValidationResult(valid=True, t=t, v=D.v, k=D.k, lam=lam)
@@ -220,16 +217,12 @@ def build_design_incidence(D, s):
     """
     if not (0 <= s <= D.k):
         raise ParameterError(f"need 0 <= s <= k = {D.k}, got s={s}")
-    n_rows = binomial(D.v, s)
-    support = [[] for _ in range(n_rows)]
-    for col, B in enumerate(D.blocks):
-        for S in combinations(B, s):
-            support[subset_rank(S, D.v, s)].append(col)
+    rows = all_subsets(D.v, s)
     return IncidenceMatrix(
-        rows=n_rows,
+        rows=len(rows),
         cols=D.b,
-        row_support=tuple(tuple(s_) for s_ in support),
-        row_labels=all_subsets(D.v, s),
+        row_support=inclusion_support(rows, D.blocks),
+        row_labels=rows,
         col_labels=D.blocks,
     )
 

@@ -25,10 +25,6 @@ class InvalidFieldError(MpincError):
     """Field order is not a prime power."""
 
 
-class ZeroMatrixError(MpincError):
-    """Zero matrix has no full-rank factorization; callers special-case it."""
-
-
 class SingularError(MpincError):
     """Matrix required to be invertible is singular."""
 

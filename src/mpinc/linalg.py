@@ -21,7 +21,7 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .errors import ParameterError, ShapeError, SingularError, ZeroMatrixError
+from .errors import ParameterError, ShapeError, SingularError
 from .rationals import rat_mod_p
 
 _ZERO = Fraction(0)
@@ -306,22 +306,6 @@ def rref_rational(A):
     reduced, _, pivots, d = _gauss_jordan(rows, A.cols)
     rank = len(pivots)
     return _rat_matrix(reduced[:rank], rank, A.cols, 1, d), rank, tuple(pivots)
-
-
-def full_rank_factorization(A):
-    """A = F G with F = pivot columns of A (rows x rank) and G = rref rows.
-
-    Raises ZeroMatrixError for the zero matrix (callers map A+ to the
-    transposed zero matrix themselves).
-    """
-    if A.is_zero():
-        raise ZeroMatrixError("zero matrix has no full-rank factorization")
-    rref, rank, pivots = rref_rational(A)
-    F = RatMatrix(
-        A.rows, rank,
-        tuple(A.at(i, j) for i in range(A.rows) for j in pivots),
-    )
-    return F, rref
 
 
 def pseudoinverse_oracle(A):

@@ -8,7 +8,7 @@ ever touches floating point.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NoInverseError, NotReducibleError, ParameterError
+from .errors import NotReducibleError, ParameterError
 
 class ModResidue(NamedTuple):
     """An element of GF(p), p prime: value in [0, p)."""
@@ -36,14 +36,6 @@ def is_prime(p):
 def _check_prime(p):
     if not is_prime(p):
         raise ParameterError(f"modulus {p} is not prime")
-
-
-def mod_inverse(a, p):
-    """x with a*x = 1 mod p, as a ModResidue."""
-    _check_prime(p)
-    if a % p == 0:
-        raise NoInverseError(f"{a} has no inverse mod {p}")
-    return ModResidue(pow(a, -1, p), p)
 
 
 def rat_mod_p(x, p):

@@ -7,6 +7,13 @@ The set case is the q = 1 specialisation throughout: Gaussian binomials
 become binomials, the q-power weight becomes 1, and dim(R intersect C)
 becomes |R intersect C|.
 
+Every member is handled through its point set. A subset is its own point
+set; a d-dimensional subspace has [d]_q projective points (its nonzero
+vectors whose first nonzero coordinate is 1), and [d]_1 = d. Two members
+meet in dimension i exactly when they share [i]_q points, and R lies inside
+C exactly when C holds every point of R, so inclusion and meet are set
+operations for every q.
+
 Labels are pinned. Subsets are tuples in colexicographic order. A subspace is
 identified by its canonical basis: the unique reduced row echelon form with
 zero rows trimmed. Subspaces are ordered by pivot column sets in
@@ -16,12 +23,12 @@ over the field elements (ordered by their integer encoding sum c_i p^i).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from functools import cached_property, lru_cache
+from itertools import product
 
-from .combinat import all_subsets, binomial, gaussian_binomial, subset_rank
+from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
-from .gf import GFMatrix, build_field, factor_prime_power, rref_gf
+from .gf import GFMatrix, build_field, factor_prime_power, gf_add, gf_mul
 from .linalg import IncidenceMatrix, RatMatrix
 
 
@@ -53,6 +60,28 @@ class SubspaceBasis:
     @property
     def dim(self):
         return self.basis.rows
+
+    @cached_property
+    def points(self):
+        """The [dim]_q projective points: the vectors of the span whose first
+        nonzero coordinate is 1.
+
+        In RREF the coordinate at pivot i of a combination is its i-th
+        coefficient, so these are the combinations whose first nonzero
+        coefficient is 1, listed without normalising.
+        """
+        f = self.field
+        rows = [self.basis.row(i) for i in range(self.dim)]
+        out = []
+        for lead, first in enumerate(rows):
+            later = rows[lead + 1 :]
+            for coefs in product(f.elements, repeat=len(later)):
+                v = first
+                for a, row in zip(coefs, later):
+                    if a != f.zero:
+                        v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
+                out.append(v)
+        return frozenset(out)
 
 
 def _check_enum_params(n, q, r):
@@ -103,19 +132,43 @@ def labels(n, q, k):
 
 
 def intersection_dim(A, B):
-    """dim(A intersect B) = dim A + dim B - dim(A + B), via one stacked rank."""
+    """dim(A intersect B), from the [i]_q points the two subspaces share."""
     if A.n != B.n or A.field != B.field:
         raise ShapeError("subspaces live in different ambient spaces")
-    stacked = GFMatrix(
-        A.basis.rows + B.basis.rows, A.n, A.basis.entries + B.basis.entries
-    )
-    _, rank, _ = rref_gf(stacked, A.field)
-    return A.dim + B.dim - rank
+    shared = len(A.points & B.points)
+    dim, size = 0, 0
+    while size < shared:
+        dim, size = dim + 1, size * A.field.q + 1
+    return dim
 
 
-def _contains(C, R):
-    # R inside C iff dim(R intersect C) = dim R; one primitive, one code path
-    return intersection_dim(R, C) == R.dim
+def _point_sets(q, members):
+    # a subset is its own point set
+    return members if q == 1 else tuple(S.points for S in members)
+
+
+def inclusion_support(row_sets, col_sets):
+    """Row supports of the 0/1 matrix with (R, C) entry 1 iff the point set
+    C holds every point of R: the column indices of each row, increasing.
+
+    Each point indexes the columns holding it, and a row's support is the
+    intersection of those index sets (every column for the empty set).
+    Repeated columns are kept apart.
+    """
+    holders = {}
+    for j, C in enumerate(col_sets):
+        for x in C:
+            holders.setdefault(x, set()).add(j)
+    every = tuple(range(len(col_sets)))
+    none = frozenset()
+    support = []
+    for R in row_sets:
+        if R:
+            first, *rest = (holders.get(x, none) for x in R)
+            support.append(tuple(sorted(first.intersection(*rest))))
+        else:
+            support.append(every)
+    return tuple(support)
 
 
 def build_incidence(n, q, r, c):
@@ -126,22 +179,12 @@ def build_incidence(n, q, r, c):
     _check_params(n, q, r, c)
     r_labels = labels(n, q, r)
     c_labels = labels(n, q, c)
-    if q == 1:
-        # rank the C(c, r) subsets of each C instead of testing every pair
-        support = [[] for _ in r_labels]
-        for col, C in enumerate(c_labels):
-            for R in combinations(C, r):
-                support[subset_rank(R, n, r)].append(col)
-        support = tuple(map(tuple, support))
-    else:
-        support = tuple(
-            tuple(j for j, C in enumerate(c_labels) if _contains(C, R))
-            for R in r_labels
-        )
     return IncidenceMatrix(
         rows=len(r_labels),
         cols=len(c_labels),
-        row_support=support,
+        row_support=inclusion_support(
+            _point_sets(q, r_labels), _point_sets(q, c_labels)
+        ),
         row_labels=r_labels,
         col_labels=c_labels,
     )
@@ -208,14 +251,15 @@ def expand_class_matrix(cm):
     """Dense [n,c]_q x [n,r]_q matrix, entry (C, R) = values[dim(R intersect C)]."""
     r_labels = labels(cm.n, cm.q, cm.r)
     c_labels = labels(cm.n, cm.q, cm.c)
-    values = cm.values
+    # the entry for [i]_q shared points is values[i]; at q = 1 by_size is values
+    by_size = [None] * (_gbinom(cm.r, 1, cm.q) + 1)
+    for i, value in enumerate(cm.values):
+        by_size[_gbinom(i, 1, cm.q)] = value
+    r_sets = _point_sets(cm.q, r_labels)
     flat = []
-    for C in c_labels:
-        if cm.q == 1:
-            meet = set(C).intersection
-            flat.extend(values[len(meet(R))] for R in r_labels)
-        else:
-            flat.extend(values[intersection_dim(R, C)] for R in r_labels)
+    for C in _point_sets(cm.q, c_labels):
+        meet = set(C).intersection
+        flat.extend(by_size[len(meet(R))] for R in r_sets)
     return RatMatrix(len(c_labels), len(r_labels), tuple(flat))
 
 
@@ -233,16 +277,17 @@ def count_containing_with_intersection(n, q, r, c, k, i):
 
         [r-k, i-k]_q * [n-2r+k, c-r-i+k]_q * q^((c-r-i+k)(r-i))
 
-    The count does not depend on the choice of R, R'. The middle top index
-    n-2r+k is validated against exhaustive enumeration in the test suite.
+    The count does not depend on the choice of R, R'. At q = 1 it counts
+    c-subsets, with binomials and weight 1. The middle top index n-2r+k is
+    validated against exhaustive enumeration in the test suite.
     """
     if not (0 <= k <= i <= r <= c <= n - r):
         raise ParameterError(
             f"need 0 <= k <= i <= r <= c <= n-r, got n={n}, r={r}, c={c}, k={k}, i={i}"
         )
     return (
-        gaussian_binomial(r - k, i - k, q)
-        * gaussian_binomial(n - 2 * r + k, c - r - i + k, q)
+        _gbinom(r - k, i - k, q)
+        * _gbinom(n - 2 * r + k, c - r - i + k, q)
         * q ** ((c - r - i + k) * (r - i))
     )
 
@@ -253,8 +298,9 @@ def count_contained_with_intersection(n, q, c, k, r, i):
 
         [k, i]_q * [c-k, r-i]_q * q^((r-i)(k-i))
 
-    Independent of n and of the choice of C, C'; validated against
-    exhaustive enumeration in the test suite, k > r included.
+    Independent of n and of the choice of C, C'; at q = 1 it counts
+    r-subsets. Validated against exhaustive enumeration in the test suite,
+    k > r included.
     """
     if not (0 <= i <= min(k, r) and k <= c and r <= c <= n):
         raise ParameterError(
@@ -262,8 +308,8 @@ def count_contained_with_intersection(n, q, c, k, r, i):
             f"got n={n}, c={c}, k={k}, r={r}, i={i}"
         )
     return (
-        gaussian_binomial(k, i, q)
-        * gaussian_binomial(c - k, r - i, q)
+        _gbinom(k, i, q)
+        * _gbinom(c - k, r - i, q)
         * q ** ((r - i) * (k - i))
     )
 

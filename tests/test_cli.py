@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import mpinc.cli
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx
 from mpinc.linalg import RatMatrix
@@ -184,17 +185,27 @@ def test_verify_design(capsys):
     assert doc["ok"] is True
 
 
-def test_verify_failure_exits_1(capsys, monkeypatch):
-    def sabotaged(cm):
-        X = expand_class_matrix(cm)
-        flipped = list(X.entries)
-        flipped[0] += 1
-        return RatMatrix(X.rows, X.cols, tuple(flipped))
+def flip_first_entry(X):
+    flipped = list(X.entries)
+    flipped[0] += 1
+    return RatMatrix(X.rows, X.cols, tuple(flipped))
 
-    monkeypatch.setattr("mpinc.cli.expand_class_matrix", sabotaged)
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "mpinc.cli.expand_class_matrix", lambda cm: flip_first_entry(expand_class_matrix(cm))
+    )
     code, out, err = run(capsys, ["verify", "set", "--n", "4", "--r", "1", "--c", "2"])
-    assert code == 1
-    assert err != ""
+    assert (code, out, err) == (1, "", "cond1 fails for the closed-form inverse\n")
+
+
+def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
+    oracle = mpinc.cli.ms_mpinv_oracle
+    monkeypatch.setattr(
+        "mpinc.cli.ms_mpinv_oracle", lambda D, s: flip_first_entry(oracle(D, s))
+    )
+    code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
+    assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
 
 
 def test_survey_exit_codes(capsys, tmp_path):
@@ -225,6 +236,22 @@ def test_survey_bad_file_names_the_file(capsys, tmp_path):
     code, _, err = run(capsys, ["survey", "--dir", str(d), "--s", "1"])
     assert code == 2
     assert "bad.blk" in err
+
+
+def test_survey_names_a_non_design_once(capsys, tmp_path):
+    # the validation message carries the file name already
+    d = tmp_path / "designs"
+    d.mkdir()
+    (d / "bad.blk").write_text("# 2 4 2 1\n1 2\n1 3\n")
+    code, _, err = run(capsys, ["survey", "--dir", str(d), "--s", "1"])
+    assert code == 2
+    assert err.count("bad.blk") == 1
+    assert err.startswith("mpinc: bad.blk: not a 2-design;")
+    verify = ["verify", "design", "--file", str(d / "bad.blk"), "--s", "1"]
+    assert run(capsys, verify) == (2, "", err)
+    # so does a strength above the block size
+    code, _, err = run(capsys, ["survey", "--dir", str(d), "--s", "1", "--t", "3"])
+    assert (code, err) == (2, "mpinc: bad.blk: need 1 <= t <= k = 2, got t=3\n")
 
 
 def test_calc_outputs(capsys):

@@ -1,5 +1,4 @@
 import io
-import os
 from fractions import Fraction
 
 import pytest
@@ -162,6 +161,19 @@ def test_incidence_shapes_and_sums():
     assert (M2.rows, M2.cols) == (21, 7)
     assert M2.row_sums() == [1] * 21  # lambda_2 = 1
     assert M2.col_sums() == [3] * 7  # C(k, 2) pairs per block
+
+
+def test_incidence_with_repeated_blocks_matches_containment():
+    # repeated blocks stay separate columns
+    blocks = parse_design(FANO).blocks
+    D = Design(v=7, blocks=blocks + blocks[:3], k=3, name="fano+3")
+    for s in (0, 1, 2):
+        M = build_design_incidence(D, s)
+        assert M.row_labels == all_subsets(7, s)
+        assert M.row_support == tuple(
+            tuple(j for j, B in enumerate(D.blocks) if set(S) <= set(B))
+            for S in all_subsets(7, s)
+        )
 
 
 def test_m1_gram_is_xI_yJ():

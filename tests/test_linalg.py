@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpinc.linalg
-from mpinc.errors import ParameterError, ShapeError, ZeroMatrixError
+from mpinc.errors import ParameterError, ShapeError
 from mpinc.linalg import (
     IncidenceMatrix,
     RatMatrix,
     first_difference,
-    full_rank_factorization,
     penrose_check,
     penrose_check_mod_p,
     pseudoinverse_oracle,
@@ -76,32 +75,6 @@ def test_rref_back_substitution():
     R, rank, _ = rref_rational(M([[1, 1], [0, 1]]))
     assert R == RatMatrix.identity(2)
     assert rank == 2
-
-
-def test_full_rank_factorization_identity():
-    F, G = full_rank_factorization(RatMatrix.identity(2))
-    assert F == RatMatrix.identity(2)
-    assert G == RatMatrix.identity(2)
-
-
-def test_full_rank_factorization_rank_one():
-    A = M([[1, 2], [2, 4]])
-    F, G = full_rank_factorization(A)
-    assert F.to_rows() == [[1], [2]]
-    assert G.to_rows() == [[1, 2]]
-    assert F @ G == A
-
-
-def test_full_rank_factorization_full_row_rank():
-    A = M([[1, 0, 1], [0, 1, 1]])
-    F, G = full_rank_factorization(A)
-    assert F == RatMatrix.identity(2)
-    assert G == A
-
-
-def test_full_rank_factorization_zero_signal():
-    with pytest.raises(ZeroMatrixError):
-        full_rank_factorization(RatMatrix.zeros(2, 3))
 
 
 def test_oracle_identity():

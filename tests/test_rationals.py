@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mpinc.errors import NoInverseError, NotReducibleError, ParameterError
-from mpinc.rationals import ModResidue, is_prime, mod_inverse, rat_mod_p
+from mpinc.errors import NotReducibleError, ParameterError
+from mpinc.rationals import ModResidue, is_prime, rat_mod_p
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50
@@ -17,21 +17,6 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 5) == ModResidue(2, 5)
-    assert mod_inverse(1, 7) == ModResidue(1, 7)
-
-
-def test_mod_inverse_of_zero_class():
-    with pytest.raises(NoInverseError):
-        mod_inverse(4, 2)
-
-
-def test_mod_inverse_rejects_composite_modulus():
-    with pytest.raises(ParameterError):
-        mod_inverse(3, 9)
-
-
 def test_rat_mod_p_examples():
     assert rat_mod_p(Fraction(1, 3), 5) == ModResidue(2, 5)
     # -1/6 mod 5: 6 = 1, so -1 = 4
@@ -41,6 +26,11 @@ def test_rat_mod_p_examples():
 def test_rat_mod_p_not_reducible():
     with pytest.raises(NotReducibleError):
         rat_mod_p(Fraction(1, 3), 3)
+
+
+def test_rat_mod_p_rejects_composite_modulus():
+    with pytest.raises(ParameterError):
+        rat_mod_p(Fraction(3), 9)
 
 
 @given(rationals, rationals, rationals)

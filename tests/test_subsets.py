@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -69,12 +68,14 @@ def test_incidence_row_col_sums():
 
 
 def test_incidence_entry_is_containment():
-    inc = build_incidence(5, 1, 2, 3)
-    rows = all_subsets(5, 2)
-    cols = all_subsets(5, 3)
-    for i, R in enumerate(rows):
-        for j, C in enumerate(cols):
-            assert inc.at(i, j) == (1 if set(R) <= set(C) else 0)
+    for n in range(7):
+        for r in range(n + 1):
+            for c in range(r, n + 1):
+                cols = all_subsets(n, c)
+                assert build_incidence(n, 1, r, c).row_support == tuple(
+                    tuple(j for j, C in enumerate(cols) if set(R) <= set(C))
+                    for R in all_subsets(n, r)
+                )
 
 
 def test_class_values_4_1_2():

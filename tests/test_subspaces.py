@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mpinc.combinat import gaussian_binomial
-from mpinc.errors import ParameterError
-from mpinc.gf import build_field, rref_gf
+from mpinc.combinat import all_subsets, gaussian_binomial
+from mpinc.errors import ParameterError, ShapeError
+from mpinc.gf import GFMatrix, build_field, rref_gf
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
     build_incidence,
@@ -71,6 +71,37 @@ def test_intersection_dim():
     planes = enumerate_subspaces(3, 2, 2)
     # two distinct planes in a 3-space meet in a line
     assert intersection_dim(planes[0], planes[1]) == 1
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 3), (8, 2), (9, 2)])
+def test_point_set_meet_matches_stacked_rank(q, n):
+    # intersection_dim and build_incidence read point sets; rref_gf of the
+    # two stacked bases is the linear-algebra reference
+    f = build_field(q)
+    spaces = [S for d in range(n + 1) for S in enumerate_subspaces(n, q, d)]
+    for S in spaces:
+        assert len(S.points) == gaussian_binomial(S.dim, 1, q)
+    contains = {}
+    for A in spaces:
+        for B in spaces:
+            stacked = GFMatrix(A.dim + B.dim, n, A.basis.entries + B.basis.entries)
+            rank = rref_gf(stacked, f)[1]
+            assert intersection_dim(A, B) == A.dim + B.dim - rank
+            contains[A, B] = rank == B.dim
+    for r in range(n + 1):
+        for c in range(r, n + 1):
+            cols = enumerate_subspaces(n, q, c)
+            assert build_incidence(n, q, r, c).row_support == tuple(
+                tuple(j for j, C in enumerate(cols) if contains[R, C])
+                for R in enumerate_subspaces(n, q, r)
+            )
+
+
+def test_intersection_dim_rejects_other_ambient_space():
+    with pytest.raises(ShapeError):
+        intersection_dim(enumerate_subspaces(2, 2, 1)[0], enumerate_subspaces(3, 2, 1)[0])
+    with pytest.raises(ShapeError):
+        intersection_dim(enumerate_subspaces(2, 2, 1)[0], enumerate_subspaces(2, 3, 1)[0])
 
 
 def test_incidence_r_equals_c_identity():
@@ -237,6 +268,37 @@ def test_count_contained_against_enumeration():
                         for i in range(min(k, r) + 1):
                             want = count_contained_with_intersection(n, q, c, k, r, i)
                             assert tally[i] == want, (q, n, c, k, r, i)
+
+
+def test_counts_at_q1_against_subset_enumeration():
+    # q = 1 counts subsets: every realizable (k, i) for n <= 6
+    for n in range(7):
+        for r in range(n + 1):
+            R = tuple(range(1, r + 1))
+            for c in range(r, n - r + 1):
+                for Rp in all_subsets(n, r):
+                    k = len(set(R) & set(Rp))
+                    tally = Counter(
+                        len(set(Rp) & set(C))
+                        for C in all_subsets(n, c)
+                        if set(R) <= set(C)
+                    )
+                    for i in range(k, r + 1):
+                        want = count_containing_with_intersection(n, 1, r, c, k, i)
+                        assert tally[i] == want, (n, r, c, k, i)
+        for c in range(n + 1):
+            C = tuple(range(1, c + 1))
+            for Cp in all_subsets(n, c):
+                k = len(set(C) & set(Cp))
+                for r in range(c + 1):
+                    tally = Counter(
+                        len(set(R) & set(C))
+                        for R in all_subsets(n, r)
+                        if set(R) <= set(Cp)
+                    )
+                    for i in range(min(k, r) + 1):
+                        want = count_contained_with_intersection(n, 1, c, k, r, i)
+                        assert tally[i] == want, (n, c, k, r, i)
 
 
 def test_char_p_admissible_examples():
