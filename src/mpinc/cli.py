@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -87,11 +88,8 @@ def _emit_matrix(M, args, row_labels=None, col_labels=None):
     _emit(text, args.out)
 
 
-def _class_values_json(values, mod=None):
-    doc = {}
-    for i in range(len(values) - 1, -1, -1):
-        x = values[i]
-        doc[f"i={i}"] = str(rat_mod_p(x, mod).value) if mod is not None else str(x)
+def _class_values_json(values):
+    doc = {f"i={i}": str(values[i]) for i in range(len(values) - 1, -1, -1)}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -128,31 +126,30 @@ def _cmd_mpinv(args):
             X = m1_mpinv_closed_form(D)
         else:
             X = ms_mpinv_oracle(D, args.s)
+        if mod is not None:
+            X = rat_matrix_mod_p(X, mod)
         row_labels, col_labels = D.blocks, all_subsets(D.v, args.s)
     else:
         n, q, r, c = args.n, args.q, args.r, args.c
+        cm = class_matrix(n, q, r, c)
         if mod is not None:
             obstruction = char_p_obstruction(n, q, r, c, mod)
             if obstruction is not None:
                 raise CharacteristicError(
                     f"closed form not admissible: p divides {obstruction}"
                 )
-        cm = class_matrix(n, q, r, c)
+            # reduce the r + 1 class values once; expand then reads residues
+            cm = replace(cm, values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
         if not args.expand:
             if args.format != "json":
                 raise MpincError("class values are JSON only; use --expand for csv/mtx")
             if args.with_labels:
                 raise MpincError("--with-labels needs a matrix output; add --expand")
-            _emit(_class_values_json(cm.values, mod), args.out)
+            _emit(_class_values_json(cm.values), args.out)
             return EXIT_OK
         X = expand_class_matrix(cm)
         row_labels, col_labels = labels(n, q, c), labels(n, q, r)
 
-    if mod is not None:
-        try:
-            X = rat_matrix_mod_p(X, mod)
-        except NotReducibleError as exc:
-            raise CharacteristicError(str(exc))
     _emit_matrix(X, args, row_labels=row_labels, col_labels=col_labels)
     return EXIT_OK
 
@@ -218,7 +215,7 @@ def _cmd_verify(args):
 def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
     M = build_design_incidence(D, args.s).to_rat_matrix()
-    X = ms_mpinv_oracle(D, args.s)
+    X = pseudoinverse_oracle(M)
     report = penrose_check(M, X)
     failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")
     if failure is not None:

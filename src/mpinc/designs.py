@@ -26,7 +26,7 @@ from .linalg import (
     penrose_check,
     pseudoinverse_oracle,
 )
-from .subspaces import inclusion_support
+from .subspaces import inclusion_support, meet_sizes
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,8 @@ def xI_yJ_inverse(x, y, n):
 def m1_mpinv_closed_form(D):
     """The b x v closed-form inverse of M_1 for a validated design with t >= 2.
 
-    Entry (B, u) is 1/lambda_1 when u is in B, else -(1/lambda_1)(k-1)/(v-k).
+    Entry (B, u) is 1/lambda_1 when u is in B, else -(1/lambda_1)(k-1)/(v-k):
+    two class values indexed by |B intersect {u}|.
     """
     if not D.is_validated or D.t < 2:
         raise ParameterError("closed form needs a validated design with t >= 2")
@@ -252,9 +253,8 @@ def m1_mpinv_closed_form(D):
     inc = Fraction(1) / lam1
     out = -inc * Fraction(D.k - 1, D.v - D.k)
     flat = []
-    for B in D.blocks:
-        Bset = set(B)
-        flat.extend(inc if u in Bset else out for u in range(1, D.v + 1))
+    for sizes in meet_sizes(D.blocks, all_subsets(D.v, 1)):
+        flat.extend(map((out, inc).__getitem__, sizes))
     return RatMatrix(D.b, D.v, tuple(flat))
 
 
@@ -326,10 +326,8 @@ def entry_classes(name, blocks, subsets, X):
     rational), empty when every class is constant.
     """
     by_class = {}
-    for bi, B in enumerate(blocks):
-        Bset = set(B)
-        for si, S in enumerate(subsets):
-            i = len(Bset.intersection(S))
+    for bi, sizes in enumerate(meet_sizes(blocks, subsets)):
+        for si, (S, i) in enumerate(zip(subsets, sizes)):
             by_class.setdefault(i, []).append((bi, S, X.at(bi, si)))
     classes = {}
     exceptions = []
@@ -348,8 +346,9 @@ def entry_classes(name, blocks, subsets, X):
 
 def _survey_one(D, s):
     M = build_design_incidence(D, s)
-    X = pseudoinverse_oracle(M.to_rat_matrix())
-    report = penrose_check(M.to_rat_matrix(), X)
+    A = M.to_rat_matrix()
+    X = pseudoinverse_oracle(A)
+    report = penrose_check(A, X)
     classes, exceptions = entry_classes(D.name, D.blocks, M.row_labels, X)
     return classes, report, exceptions
 

@@ -114,6 +114,14 @@ def write_mtx(M):
     return "\n".join(lines) + "\n"
 
 
+def _mtx_counts(line, count, what):
+    # the count non-negative integers of one line, or ParameterError naming it
+    fields = line.split()
+    if len(fields) != count or not all(x.isdecimal() for x in fields):
+        raise ParameterError(f"bad {what} line {line!r}: expected {count} non-negative integers")
+    return [int(x) for x in fields]
+
+
 def parse_mtx(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -122,15 +130,19 @@ def parse_mtx(text):
     if header[1:4] != ["matrix", "coordinate", "pattern"]:
         raise ParameterError(f"unsupported MatrixMarket flavor: {lines[0]!r}")
     body = [ln for ln in lines[1:] if not ln.startswith("%")]
-    rows, cols, nnz = (int(x) for x in body[0].split())
+    if not body:
+        raise ParameterError("missing size line after the MatrixMarket header")
+    rows, cols, nnz = _mtx_counts(body[0], 3, "size")
     if len(body) - 1 != nnz:
         raise ParameterError(f"expected {nnz} coordinate lines, got {len(body) - 1}")
-    support = [[] for _ in range(rows)]
+    support = [set() for _ in range(rows)]
     for ln in body[1:]:
-        i, j = (int(x) for x in ln.split())
+        i, j = _mtx_counts(ln, 2, "coordinate")
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParameterError(f"coordinate ({i}, {j}) out of range")
-        support[i - 1].append(j - 1)
+        if j - 1 in support[i - 1]:
+            raise ParameterError(f"coordinate line {ln!r} repeats ({i}, {j})")
+        support[i - 1].add(j - 1)
     return IncidenceMatrix(
         rows=rows,
         cols=cols,

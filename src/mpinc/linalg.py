@@ -350,7 +350,7 @@ def rat_matrix_mod_p(A, p):
     """Entrywise reduction to GF(p); NotReducibleError if p divides a denominator."""
     return RatMatrix(
         A.rows, A.cols,
-        tuple(Fraction(rat_mod_p(x, p).value) for x in A.entries),
+        tuple(Fraction(rat_mod_p(x, p)) for x in A.entries),
     )
 
 

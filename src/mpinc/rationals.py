@@ -6,31 +6,19 @@ ever touches floating point.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache
+from math import isqrt
 
 from .errors import NotReducibleError, ParameterError
 
-class ModResidue(NamedTuple):
-    """An element of GF(p), p prime: value in [0, p)."""
 
-    value: int
-    modulus: int
-
-
+@cache
 def is_prime(p):
-    """Trial-division primality test; every modulus here is desk scale."""
-    if p < 2:
-        return False
+    """Trial-division primality test, run once per modulus; every modulus
+    here is desk scale."""
     if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+        return p > 1
+    return p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
 def _check_prime(p):
@@ -39,7 +27,8 @@ def _check_prime(p):
 
 
 def rat_mod_p(x, p):
-    """Reduce a rational to GF(p): numerator * denominator^-1 mod p.
+    """Reduce a rational to GF(p): numerator * denominator^-1 mod p, as an
+    int in [0, p).
 
     Raises NotReducibleError when p divides the denominator, which is the
     signal that a closed form does not survive in characteristic p.
@@ -49,4 +38,4 @@ def rat_mod_p(x, p):
     if x.denominator % p == 0:
         raise NotReducibleError(f"denominator {x.denominator} vanishes mod {p}")
     inv = pow(x.denominator, -1, p)
-    return ModResidue((x.numerator * inv) % p, p)
+    return (x.numerator * inv) % p

@@ -171,6 +171,13 @@ def inclusion_support(row_sets, col_sets):
     return tuple(support)
 
 
+def meet_sizes(row_sets, col_sets):
+    """Yield, for each row point set R, the list of |R intersect C| over col_sets."""
+    for R in row_sets:
+        meet = set(R).intersection
+        yield [len(meet(C)) for C in col_sets]
+
+
 def build_incidence(n, q, r, c):
     """The [n,r]_q x [n,c]_q 0/1 matrix with (R, C) entry 1 iff R inside C.
 
@@ -251,15 +258,11 @@ def expand_class_matrix(cm):
     """Dense [n,c]_q x [n,r]_q matrix, entry (C, R) = values[dim(R intersect C)]."""
     r_labels = labels(cm.n, cm.q, cm.r)
     c_labels = labels(cm.n, cm.q, cm.c)
-    # the entry for [i]_q shared points is values[i]; at q = 1 by_size is values
-    by_size = [None] * (_gbinom(cm.r, 1, cm.q) + 1)
-    for i, value in enumerate(cm.values):
-        by_size[_gbinom(i, 1, cm.q)] = value
-    r_sets = _point_sets(cm.q, r_labels)
+    # the entry for [i]_q shared points is values[i]
+    by_size = {_gbinom(i, 1, cm.q): value for i, value in enumerate(cm.values)}
     flat = []
-    for C in _point_sets(cm.q, c_labels):
-        meet = set(C).intersection
-        flat.extend(by_size[len(meet(R))] for R in r_sets)
+    for sizes in meet_sizes(_point_sets(cm.q, c_labels), _point_sets(cm.q, r_labels)):
+        flat.extend(map(by_size.__getitem__, sizes))
     return RatMatrix(len(c_labels), len(r_labels), tuple(flat))
 
 

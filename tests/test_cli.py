@@ -6,9 +6,15 @@ import pytest
 
 import mpinc.cli
 from mpinc.cli import main
-from mpinc.formats import parse_csv, parse_json, parse_mtx
-from mpinc.linalg import RatMatrix
-from mpinc.subspaces import build_incidence, class_matrix, expand_class_matrix
+from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
+from mpinc.linalg import RatMatrix, rat_matrix_mod_p
+from mpinc.rationals import rat_mod_p
+from mpinc.subspaces import (
+    build_incidence,
+    char_p_obstruction,
+    class_matrix,
+    expand_class_matrix,
+)
 
 FANO = "samples/fano/fano.blk"
 
@@ -200,9 +206,9 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 
 
 def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
-    oracle = mpinc.cli.ms_mpinv_oracle
+    oracle = mpinc.cli.pseudoinverse_oracle
     monkeypatch.setattr(
-        "mpinc.cli.ms_mpinv_oracle", lambda D, s: flip_first_entry(oracle(D, s))
+        "mpinc.cli.pseudoinverse_oracle", lambda A: flip_first_entry(oracle(A))
     )
     code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
     assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
@@ -292,3 +298,31 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "35\n"
+
+
+# sets with n <= 6, GF(2) with n <= 4 and GF(3) with n <= 3, every r <= c <= n
+SMALL_FAMILY = [
+    (n, q, r, c)
+    for q, top in ((1, 6), (2, 4), (3, 3))
+    for n in range(top + 1)
+    for c in range(n + 1)
+    for r in range(c + 1)
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_mod_p_reduces_class_values(capsys, p):
+    # the CLI reduces the r + 1 class values; reducing every dense entry of
+    # the rational expand is the reference
+    admissible = [t for t in SMALL_FAMILY if char_p_obstruction(*t, p) is None]
+    assert admissible
+    for n, q, r, c in admissible:
+        kind = ["set"] if q == 1 else ["subspace", "--q", str(q)]
+        argv = ["mpinv", *kind, "--n", str(n), "--r", str(r), "--c", str(c), "--mod", str(p)]
+        cm = class_matrix(n, q, r, c)
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {f"i={i}": str(rat_mod_p(x, p)) for i, x in enumerate(cm.values)}
+        code, out, err = run(capsys, [*argv, "--expand", "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == write_csv(rat_matrix_mod_p(expand_class_matrix(cm), p))

@@ -19,6 +19,7 @@ from mpinc.designs import (
 )
 from mpinc.errors import DesignParseError, ParameterError, SingularError
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
+from mpinc.subspaces import meet_sizes
 
 FANO = "samples/fano/fano.blk"
 PAIRS = "samples/pairs/pairs42.blk"
@@ -174,6 +175,20 @@ def test_incidence_with_repeated_blocks_matches_containment():
             tuple(j for j, B in enumerate(D.blocks) if set(S) <= set(B))
             for S in all_subsets(7, s)
         )
+
+
+def test_meet_sizes_with_repeated_blocks():
+    # repeated blocks stay separate columns; s = 0 is the empty set
+    blocks = parse_design(FANO).blocks
+    blocks += blocks[:3]
+    for s in (0, 1, 2):
+        subsets = all_subsets(7, s)
+        assert list(meet_sizes(blocks, subsets)) == [
+            [sum(1 for x in S if x in B) for S in subsets] for B in blocks
+        ]
+        assert list(meet_sizes(subsets, blocks)) == [
+            [sum(1 for x in S if x in B) for B in blocks] for S in subsets
+        ]
 
 
 def test_m1_gram_is_xI_yJ():

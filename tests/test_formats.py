@@ -117,3 +117,22 @@ def test_mtx_parse_rejects_wrong_count():
 def test_mtx_parse_rejects_out_of_range():
     with pytest.raises(ParameterError):
         parse_mtx("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n")
+
+
+MTX_HEADER = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
+def test_mtx_parse_rejects_missing_size_line():
+    with pytest.raises(ParameterError, match="missing size line"):
+        parse_mtx(MTX_HEADER)
+
+
+@pytest.mark.parametrize("size", ["2 2", "2 x 0", "-1 2 0"])
+def test_mtx_parse_rejects_bad_size_line(size):
+    with pytest.raises(ParameterError, match=f"bad size line '{size}'"):
+        parse_mtx(MTX_HEADER + size + "\n")
+
+
+def test_mtx_parse_rejects_repeated_coordinate():
+    with pytest.raises(ParameterError, match=r"coordinate line '1 1' repeats \(1, 1\)"):
+        parse_mtx(MTX_HEADER + "2 2 2\n1 1\n1 1\n")

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpinc.errors import NotReducibleError, ParameterError
-from mpinc.rationals import ModResidue, is_prime, rat_mod_p
+from mpinc.linalg import RatMatrix, rat_matrix_mod_p
+from mpinc.rationals import is_prime, rat_mod_p
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=50
@@ -18,9 +19,21 @@ def test_is_prime_small():
 
 
 def test_rat_mod_p_examples():
-    assert rat_mod_p(Fraction(1, 3), 5) == ModResidue(2, 5)
+    assert rat_mod_p(Fraction(1, 3), 5) == 2
     # -1/6 mod 5: 6 = 1, so -1 = 4
-    assert rat_mod_p(Fraction(-1, 6), 5) == ModResidue(4, 5)
+    assert rat_mod_p(Fraction(-1, 6), 5) == 4
+
+
+def test_primality_is_tested_once_per_modulus():
+    # a dense reduction checks its modulus on every entry; the trial
+    # division must run only for the first
+    p = 1_000_003
+    is_prime.cache_clear()
+    X = RatMatrix(3, 4, tuple(Fraction(i, 7) for i in range(12)))
+    rat_matrix_mod_p(X, p)
+    assert rat_mod_p(Fraction(1, 2), p) == (p + 1) // 2
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
 
 
 def test_rat_mod_p_not_reducible():
@@ -48,7 +61,7 @@ def test_rat_mod_p_is_ring_homomorphism(x, y, p):
     if x.denominator % p == 0 or y.denominator % p == 0:
         return
     # sums and products of p-coprime-denominator rationals stay reducible
-    add = rat_mod_p(x + y, p).value
-    assert add == (rat_mod_p(x, p).value + rat_mod_p(y, p).value) % p
-    mul = rat_mod_p(x * y, p).value
-    assert mul == (rat_mod_p(x, p).value * rat_mod_p(y, p).value) % p
+    add = rat_mod_p(x + y, p)
+    assert add == (rat_mod_p(x, p) + rat_mod_p(y, p)) % p
+    mul = rat_mod_p(x * y, p)
+    assert mul == (rat_mod_p(x, p) * rat_mod_p(y, p)) % p

@@ -1,11 +1,12 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mpinc.combinat import all_subsets, gaussian_binomial
 from mpinc.errors import ParameterError, ShapeError
-from mpinc.gf import GFMatrix, build_field, rref_gf
+from mpinc.gf import GFMatrix, build_field, gf_add, gf_mul, rref_gf
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
     build_incidence,
@@ -16,6 +17,7 @@ from mpinc.subspaces import (
     enumerate_subspaces,
     expand_class_matrix,
     intersection_dim,
+    meet_sizes,
     mpinv_class_values,
 )
 
@@ -95,6 +97,37 @@ def test_point_set_meet_matches_stacked_rank(q, n):
                 tuple(j for j, C in enumerate(cols) if contains[R, C])
                 for R in enumerate_subspaces(n, q, r)
             )
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_meet_sizes_of_subsets(n):
+    rows = [S for d in range(n + 1) for S in all_subsets(n, d)]
+    cols = rows[::-1]
+    assert list(meet_sizes(rows, cols)) == [
+        [sum(1 for x in R if x in C) for C in cols] for R in rows
+    ]
+
+
+def _span(S):
+    f = S.field
+    vectors = set()
+    for coefs in product(f.elements, repeat=S.dim):
+        v = (f.zero,) * S.n
+        for a, i in zip(coefs, range(S.dim)):
+            v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, S.basis.row(i)))
+        vectors.add(v)
+    return vectors
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 3), (4, 2)])
+def test_meet_sizes_of_subspace_point_sets(q, n):
+    # an i-dimensional meet holds q^i vectors, i.e. [i]_q projective points
+    rows = [S for d in range(n + 1) for S in enumerate_subspaces(n, q, d)]
+    cols = rows[::-1]
+    row_spans, col_spans = [_span(S) for S in rows], [_span(S) for S in cols]
+    assert list(meet_sizes([S.points for S in rows], [S.points for S in cols])) == [
+        [(len(a & b) - 1) // (q - 1) for b in col_spans] for a in row_spans
+    ]
 
 
 def test_intersection_dim_rejects_other_ambient_space():
