@@ -57,7 +57,6 @@ def _emit(text, out_path):
 def _render_labels(labels):
     rendered = []
     for label in labels:
-        first = label
         if hasattr(label, "basis"):
             f = label.field
             rendered.append(
@@ -65,7 +64,7 @@ def _render_labels(labels):
                  for i in range(label.basis.rows)]
             )
         else:
-            rendered.append(list(first))
+            rendered.append(list(label))
     return rendered
 
 

@@ -1,5 +1,5 @@
 """Binomials, Gaussian binomials, the alternating-sum identities built on them,
-and the colexicographic ranking of subsets.
+and the subsets of [1, n] in colexicographic order.
 
 Both binomial flavours use the convention that out-of-range arguments
 (anything violating 0 <= m <= n) give 0. q is always a concrete integer >= 2;
@@ -21,41 +21,6 @@ def binomial(n, m):
     if m < 0 or n < 0 or m > n:
         return 0
     return math.comb(n, m)
-
-
-def subset_rank(S, n, r):
-    """Colexicographic rank of an r-subset of [1, n].
-
-    The rank of a strictly increasing 1-based subset S is sum_j C(S_j - 1, j)
-    over positions j = 1..r.
-    """
-    S = tuple(S)
-    if len(S) != r:
-        raise ParameterError(f"expected {r} elements, got {len(S)}")
-    prev = 0
-    for x in S:
-        if not (isinstance(x, int) and prev < x <= n):
-            raise ParameterError(f"subset {S} is not strictly increasing within [1, {n}]")
-        prev = x
-    return sum(binomial(x - 1, j) for j, x in enumerate(S, start=1))
-
-
-def subset_unrank(index, n, r):
-    """Inverse of subset_rank: the r-subset of [1, n] with the given colex rank."""
-    total = binomial(n, r)
-    if not (0 <= index < total):
-        raise ParameterError(f"rank {index} out of range [0, {total}) for n={n}, r={r}")
-    out = []
-    rem = index
-    top = n
-    for j in range(r, 0, -1):
-        x = top
-        while binomial(x - 1, j) > rem:
-            x -= 1
-        out.append(x)
-        rem -= binomial(x - 1, j)
-        top = x - 1
-    return tuple(reversed(out))
 
 
 def all_subsets(n, r):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .combinat import all_subsets, binomial
-from .errors import DesignParseError, ParameterError, SingularError
+from .errors import DesignParseError, ParameterError
 from .linalg import (
     IncidenceMatrix,
     RatMatrix,
@@ -225,18 +225,6 @@ def build_design_incidence(D, s):
         row_labels=rows,
         col_labels=D.blocks,
     )
-
-
-def xI_yJ_inverse(x, y, n):
-    """(a, b) with (xI + yJ)^-1 = aI + bJ for the n x n all-ones J.
-
-    a = 1/x, b = -y/(x(x+ny)); SingularError when x(x+ny) = 0.
-    """
-    x = Fraction(x)
-    y = Fraction(y)
-    if x * (x + n * y) == 0:
-        raise SingularError(f"xI+yJ is singular for x={x}, y={y}, n={n}")
-    return (1 / x, -y / (x * (x + n * y)))
 
 
 def m1_mpinv_closed_form(D):

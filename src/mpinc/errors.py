@@ -13,10 +13,6 @@ class ShapeError(MpincError):
     """Matrix shapes incompatible with the requested operation."""
 
 
-class NoInverseError(MpincError):
-    """Element has no multiplicative inverse (zero, or zero mod p)."""
-
-
 class NotReducibleError(MpincError):
     """Rational cannot be reduced mod p because p divides the denominator."""
 

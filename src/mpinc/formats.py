@@ -15,10 +15,6 @@ from .linalg import IncidenceMatrix, RatMatrix
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
-def format_rational(x):
-    return str(x)
-
-
 def parse_rational(s):
     s = s.strip()
     if not _RATIONAL_RE.match(s):
@@ -38,7 +34,7 @@ def _as_rat_matrix(M):
 def write_csv(M):
     M = _as_rat_matrix(M)
     lines = [
-        ",".join(format_rational(x) for x in M.row(i)) for i in range(M.rows)
+        ",".join(map(str, M.row(i))) for i in range(M.rows)
     ]
     return "\n".join(lines) + "\n"
 
@@ -60,7 +56,7 @@ def write_json(M, row_labels=None, col_labels=None):
         "rows": M.rows,
         "cols": M.cols,
         "entries": [
-            [format_rational(x) for x in M.row(i)] for i in range(M.rows)
+            list(map(str, M.row(i))) for i in range(M.rows)
         ],
     }
     if row_labels is not None:

@@ -1,36 +1,39 @@
-"""GF(q) arithmetic for prime powers q, and row reduction over GF(q).
+"""GF(q) arithmetic for prime powers q, and matrices over GF(q).
 
 Elements are little-endian coefficient tuples of length e over GF(p),
 q = p^e. The field model is pinned: the modulus is the lexicographically
 least monic irreducible polynomial of degree e over GF(p), coefficient
-sequences compared low-degree-first. Products and inverses are table-driven;
-the whole package stays at desk scale (q <= 9 for enumeration work).
+sequences compared low-degree-first. Sums and products are table-driven;
+tables are built for enumeration work only (q <= 9). factor_prime_power
+accepts any prime power, so class values need no tables.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidFieldError, NoInverseError, ShapeError
+from .errors import InvalidFieldError, ShapeError
+from .rationals import is_prime
+
+
+def _integer_root(q, e):
+    """The floor of the e-th root of q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def factor_prime_power(q):
     """(p, e) with q = p^e; InvalidFieldError when q is not a prime power."""
-    if q < 2:
-        raise InvalidFieldError(f"{q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise InvalidFieldError(f"{q} is not a prime power")
-    return p, e
+    if q >= 2:
+        for e in range(q.bit_length(), 0, -1):
+            p = _integer_root(q, e)
+            if p**e == q and is_prime(p):
+                return p, e
+    raise InvalidFieldError(f"{q} is not a prime power")
 
 
 def _poly_divmod(num, den, p):
@@ -73,12 +76,12 @@ def _irreducible(poly, p):
 class FieldSpec:
     """A concrete model of GF(q): q = p^e plus the pinned modulus polynomial.
 
-    Carries precomputed add/mul/inv tables keyed by coefficient tuples.
+    Carries precomputed add/mul tables keyed by coefficient tuples.
     Immutable after construction; identity is (q, modulus).
     """
 
     __slots__ = ("q", "p", "e", "modulus", "zero", "one", "elements",
-                 "_add", "_mul", "_neg", "_inv")
+                 "_add", "_mul")
 
     def __init__(self, q):
         p, e = factor_prime_power(q)
@@ -106,21 +109,13 @@ class FieldSpec:
         raise InvalidFieldError(f"no irreducible polynomial found for p={p}, e={e}")
 
     def _build_tables(self):
-        p, e = self.p, self.e
+        p = self.p
         self._add = {}
-        self._neg = {}
         self._mul = {}
-        self._inv = {}
         for a in self.elements:
-            self._neg[a] = tuple((-x) % p for x in a)
             for b in self.elements:
                 self._add[(a, b)] = tuple((x + y) % p for x, y in zip(a, b))
                 self._mul[(a, b)] = self._poly_mulmod(a, b)
-        for a in self.elements:
-            for b in self.elements:
-                if self._mul[(a, b)] == self.one:
-                    self._inv[a] = b
-                    break
 
     def _poly_mulmod(self, a, b):
         p, e = self.p, self.e
@@ -134,21 +129,6 @@ class FieldSpec:
         _, rem = _poly_divmod(raw, list(self.modulus), p)
         rem = rem + [0] * (e - len(rem))
         return tuple(rem[:e])
-
-    def element(self, value):
-        """Coerce an int (for prime fields) or coefficient sequence to an element."""
-        if isinstance(value, int):
-            if self.e == 1:
-                return (value % self.p,)
-            raise InvalidFieldError(
-                f"GF({self.q}) elements need {self.e} coefficients, got int"
-            )
-        t = tuple(int(c) % self.p for c in value)
-        if len(t) != self.e:
-            raise InvalidFieldError(
-                f"GF({self.q}) elements need {self.e} coefficients, got {len(t)}"
-            )
-        return t
 
     def __eq__(self, other):
         return (
@@ -174,18 +154,8 @@ def gf_add(a, b, f):
     return f._add[(a, b)]
 
 
-def gf_neg(a, f):
-    return f._neg[a]
-
-
 def gf_mul(a, b, f):
     return f._mul[(a, b)]
-
-
-def gf_inv(a, f):
-    if a == f.zero:
-        raise NoInverseError(f"0 has no inverse in GF({f.q})")
-    return f._inv[a]
 
 
 def render_element(a, f):
@@ -210,63 +180,5 @@ class GFMatrix:
                 f"entries, got {len(self.entries)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows_of_entries, f):
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0]) if rows else 0
-        flat = []
-        for row in rows_of_entries:
-            if len(row) != cols:
-                raise ShapeError("ragged rows")
-            flat.extend(f.element(x) for x in row)
-        return cls(rows, cols, tuple(flat))
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-def rref_gf(A, f):
-    """Reduced row echelon form over GF(q).
-
-    Returns (rref, rank, pivot_columns) with zero rows trimmed, so the
-    result has exactly rank rows. The RREF is the unique canonical form.
-    """
-    rows = [list(A.row(i)) for i in range(A.rows)]
-    zero, one = f.zero, f.one
-    mul, add, neg, inv = f._mul, f._add, f._neg, f._inv
-    pivots = []
-    rank = 0
-    for col in range(A.cols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pv = rows[rank][col]
-        if pv != one:
-            s = inv[pv]
-            rows[rank] = [mul[(s, x)] for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            factor = rows[i][col]
-            if factor == zero:
-                continue
-            nf = neg[factor]
-            rows[i] = [add[(x, mul[(nf, y)])] for x, y in zip(rows[i], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    flat = tuple(x for row in rows[:rank] for x in row)
-    return GFMatrix(rank, A.cols, flat), rank, tuple(pivots)

@@ -94,21 +94,6 @@ class RatMatrix:
         b, B = _int_rows(other)
         return _rat_matrix(_matmul(A, B, other.cols), self.rows, other.cols, 1, a * b)
 
-    def scale(self, s):
-        s = _as_fraction(s)
-        return RatMatrix(self.rows, self.cols, tuple(s * x for x in self.entries))
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in add")
-        return RatMatrix(
-            self.rows, self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def is_zero(self):
-        return all(not x for x in self.entries)
-
     def is_identity(self):
         n = self.rows
         if n != self.cols:
@@ -293,20 +278,25 @@ def _check_pair(A, X):
         )
 
 
+def _penrose(a, x, scale, reduce):
+    """The four Penrose conditions on the int rows a (m x n) and x (n x m).
+
+    A X A = A reads reduce(a x a) = scale * a and X A X = X reads
+    reduce(x a x) = scale * x; reduce maps each product to the
+    representatives that a and x are written in.
+    """
+    m, n = len(a), len(x)
+    ax = reduce(_matmul(a, x, m))
+    return PenroseReport(
+        cond1=reduce(_matmul(ax, a, n)) == [[scale * v for v in row] for row in a],
+        cond2=reduce(_matmul(x, ax, m)) == [[scale * v for v in row] for row in x],
+        cond3=_is_symmetric(ax),
+        cond4=_is_symmetric(reduce(_matmul(x, a, n))),
+    )
+
+
 # ---------------------------------------------------------------------------
 # public operations
-
-def rref_rational(A):
-    """Unique reduced row echelon form over the rationals.
-
-    Returns (rref, rank, pivot_columns); zero rows are trimmed so the rref
-    has exactly rank rows.
-    """
-    _, rows = _int_rows(A)
-    reduced, _, pivots, d = _gauss_jordan(rows, A.cols)
-    rank = len(pivots)
-    return _rat_matrix(reduced[:rank], rank, A.cols, 1, d), rank, tuple(pivots)
-
 
 def pseudoinverse_oracle(A):
     """The Moore-Penrose inverse of A via its skeleton, exactly.
@@ -336,14 +326,7 @@ def penrose_check(A, X):
     _check_pair(A, X)
     a, Ai = _int_rows(A)
     x, Xi = _int_rows(X)
-    ax = a * x
-    AX = _matmul(Ai, Xi, A.rows)
-    return PenroseReport(
-        cond1=_matmul(AX, Ai, A.cols) == [[ax * v for v in row] for row in Ai],
-        cond2=_matmul(Xi, AX, A.rows) == [[ax * v for v in row] for row in Xi],
-        cond3=_is_symmetric(AX),
-        cond4=_is_symmetric(_matmul(Xi, Ai, A.cols)),
-    )
+    return _penrose(Ai, Xi, a * x, lambda rows: rows)
 
 
 def rat_matrix_mod_p(A, p):
@@ -368,18 +351,9 @@ def penrose_check_mod_p(A, X, p):
     rat_matrix_mod_p).
     """
     _check_pair(A, X)
-    a = _residue_rows(A, p)
-    x = _residue_rows(X, p)
-
-    def product(left, right, ncols):
-        return [[v % p for v in row] for row in _matmul(left, right, ncols)]
-
-    ax = product(a, x, A.rows)
-    return PenroseReport(
-        cond1=product(ax, a, A.cols) == a,
-        cond2=product(x, ax, A.rows) == x,
-        cond3=_is_symmetric(ax),
-        cond4=_is_symmetric(product(x, a, A.cols)),
+    return _penrose(
+        _residue_rows(A, p), _residue_rows(X, p), 1,
+        lambda rows: [[v % p for v in row] for row in rows],
     )
 
 

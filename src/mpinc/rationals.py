@@ -7,18 +7,43 @@ ever touches floating point.
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
 
 from .errors import NotReducibleError, ParameterError
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2017, psi_13).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 @cache
-def is_prime(p):
-    """Trial-division primality test, run once per modulus; every modulus
-    here is desk scale."""
-    if p < 4:
-        return p > 1
-    return p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
+def is_prime(n):
+    """Deterministic Miller-Rabin, run once per number.
+
+    Exact for n < PRIMALITY_BOUND; at or above it, ParameterError names n.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise ParameterError(
+            f"{n} is too large to test for primality (the exact test needs n < {PRIMALITY_BOUND})"
+        )
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_prime(p):

@@ -138,13 +138,9 @@ def test_criterion_03_subspace_closed_form_equals_oracle(q_sweep):
 def _coordinate_subspace(n, q, pivots):
     """Subspace spanned by the given standard basis vectors; already in rref."""
     f = build_field(q)
-    rows = []
-    for p in pivots:
-        row = [f.zero] * n
-        row[p] = f.one
-        rows.append(row)
+    entries = tuple(f.one if j == p else f.zero for p in pivots for j in range(n))
     return SubspaceBasis(
-        n=n, field=f, basis=GFMatrix.from_rows(rows, f), pivots=tuple(pivots)
+        n=n, field=f, basis=GFMatrix(len(pivots), n, entries), pivots=tuple(pivots)
     )
 
 
@@ -242,8 +238,8 @@ def test_criterion_06_design_closed_form():
                 want = Fraction(1, 3) if u in B else Fraction(-1, 6)
                 assert X.at(bi, u - 1) == want
         assert X == pseudoinverse_oracle(A)
-        J = RatMatrix.from_rows([[1] * 7] * 7)
-        assert A @ A.transpose() == RatMatrix.identity(7).scale(2).add(J)
+        two_i_plus_j = [[3 if i == j else 1 for j in range(7)] for i in range(7)]
+        assert A @ A.transpose() == RatMatrix.from_rows(two_i_plus_j)
         for path in SAMPLE_DESIGNS[1:]:
             D = validated_design(parse_design(path), 2)
             M1 = build_design_incidence(D, 1).to_rat_matrix()

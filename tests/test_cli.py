@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ import mpinc.cli
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
 from mpinc.linalg import RatMatrix, rat_matrix_mod_p
-from mpinc.rationals import rat_mod_p
+from mpinc.rationals import PRIMALITY_BOUND, rat_mod_p
 from mpinc.subspaces import (
     build_incidence,
     char_p_obstruction,
@@ -79,6 +80,28 @@ def test_mpinv_refuses_non_prime_modulus(capsys, mod):
         assert code == 2
         assert out == ""
         assert f"--mod {mod}" in err
+
+
+def test_large_prime_field_and_modulus(capsys):
+    # a 31-bit prime q and a 17-digit prime modulus are decided at once
+    q = 2**31 - 1
+    code, out, err = run(capsys, ["mpinv", "subspace", "--n", "3", "--q", str(q), "--r", "1", "--c", "2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {f"i={i}": str(x) for i, x in enumerate(class_matrix(3, q, 1, 2).values)}
+    p = 10**16 + 61
+    code, out, err = run(capsys, ["mpinv", "set", "--n", "4", "--r", "1", "--c", "2", "--mod", str(p)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        f"i={i}": str(rat_mod_p(x, p)) for i, x in enumerate(class_matrix(4, 1, 1, 2).values)
+    }
+
+
+def test_refuses_numbers_past_the_primality_bound(capsys):
+    big = str(PRIMALITY_BOUND)
+    for argv in (["set", "--mod", big], ["subspace", "--q", big]):
+        code, out, err = run(capsys, ["mpinv", *argv, "--n", "3", "--r", "1", "--c", "2"])
+        assert (code, out) == (2, "")
+        assert big in err
 
 
 def test_main_twice_gives_independent_results(capsys):
@@ -223,8 +246,8 @@ def test_survey_exit_codes(capsys, tmp_path):
 
     mixed = tmp_path / "mixed"
     mixed.mkdir()
-    (mixed / "a.blk").write_text(open(FANO).read())
-    (mixed / "b.blk").write_text(open("samples/pairs/pairs42.blk").read())
+    (mixed / "a.blk").write_text(Path(FANO).read_text())
+    (mixed / "b.blk").write_text(Path("samples/pairs/pairs42.blk").read_text())
     code, _, err = run(capsys, ["survey", "--dir", str(mixed), "--s", "1"])
     assert code == 2
     assert err.startswith("mpinc:")

