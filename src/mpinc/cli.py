@@ -146,7 +146,8 @@ def _cmd_mpinv(args):
                 raise MpincError("--with-labels needs a matrix output; add --expand")
             _emit(_class_values_json(cm.values), args.out)
             return EXIT_OK
-        X = expand_class_matrix(cm)
+        # the writers render the class values straight into the rows
+        X = cm
         row_labels, col_labels = labels(n, q, c), labels(n, q, r)
 
     _emit_matrix(X, args, row_labels=row_labels, col_labels=col_labels)

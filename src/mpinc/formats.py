@@ -2,7 +2,9 @@
 coordinate pattern for 0/1 incidence matrices. Every writer has a parser and
 round-trips bit-exactly.
 
-Rationals render as "num/den" with the denominator omitted when it is 1.
+The writers take a ClassMatrix, an IncidenceMatrix or a RatMatrix and
+render rows of strings straight from it. Rationals render as "num/den" with
+the denominator omitted when it is 1.
 """
 
 import json
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 from .errors import ParameterError
 from .linalg import IncidenceMatrix, RatMatrix
+from .subspaces import ClassMatrix, class_rows
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -25,18 +28,29 @@ def parse_rational(s):
     return Fraction(int(s))
 
 
-def _as_rat_matrix(M):
+def _text_rows(M):
+    """The rows of M as lists of entry strings.
+
+    M is a ClassMatrix, an IncidenceMatrix or a RatMatrix. A class matrix
+    renders its r + 1 values once and an incidence matrix its supports as
+    "0"/"1", so neither builds a dense matrix.
+    """
+    if isinstance(M, ClassMatrix):
+        return class_rows(M, tuple(map(str, M.values)))
     if isinstance(M, IncidenceMatrix):
-        return M.to_rat_matrix()
-    return M
+        return (_indicator(support, M.cols) for support in M.row_support)
+    return (list(map(str, M.row(i))) for i in range(M.rows))
+
+
+def _indicator(support, cols):
+    row = ["0"] * cols
+    for j in support:
+        row[j] = "1"
+    return row
 
 
 def write_csv(M):
-    M = _as_rat_matrix(M)
-    lines = [
-        ",".join(map(str, M.row(i))) for i in range(M.rows)
-    ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(",".join, _text_rows(M))) + "\n"
 
 
 def parse_csv(text):
@@ -51,19 +65,24 @@ def parse_csv(text):
 
 
 def write_json(M, row_labels=None, col_labels=None):
-    M = _as_rat_matrix(M)
-    doc = {
-        "rows": M.rows,
-        "cols": M.cols,
-        "entries": [
-            list(map(str, M.row(i))) for i in range(M.rows)
-        ],
-    }
+    """The bytes of json.dumps(doc, indent=2) + "\n" for the document with
+    rows, cols, entries and the labels given, entries joined row by row.
+
+    Rationals need no JSON escaping, so an entry is its string in quotes.
+    The labels still go through json.dumps.
+    """
+    doc = {"rows": M.rows, "cols": M.cols, "entries": []}
     if row_labels is not None:
         doc["row_labels"] = row_labels
     if col_labels is not None:
         doc["col_labels"] = col_labels
-    return json.dumps(doc, indent=2) + "\n"
+    head, _, tail = json.dumps(doc, indent=2).partition('"entries": []')
+    rows = [
+        '[\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "[]"
+        for row in _text_rows(M)
+    ]
+    entries = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return head + '"entries": ' + entries + tail + "\n"
 
 
 def parse_json(text):
@@ -85,29 +104,36 @@ def parse_json(text):
 
 def write_mtx(M):
     """Matrix Market coordinate pattern (1-based); 0/1 matrices only."""
-    if isinstance(M, IncidenceMatrix):
-        coords = [
-            (i + 1, j + 1)
-            for i, support in enumerate(M.row_support)
-            for j in support
-        ]
-        rows, cols = M.rows, M.cols
-    else:
-        coords = []
-        for i in range(M.rows):
-            for j, x in enumerate(M.row(i)):
-                if x == 1:
-                    coords.append((i + 1, j + 1))
-                elif x != 0:
-                    raise ParameterError(
-                        "Matrix Market pattern output needs a 0/1 matrix; "
-                        f"entry ({i},{j}) = {x}"
-                    )
-        rows, cols = M.rows, M.cols
-    lines = ["%%MatrixMarket matrix coordinate pattern general"]
-    lines.append(f"{rows} {cols} {len(coords)}")
-    lines.extend(f"{i} {j}" for i, j in coords)
+    support = M.row_support if isinstance(M, IncidenceMatrix) else _pattern_support(M)
+    col_text = [str(j) for j in range(1, M.cols + 1)]
+    lines = [
+        "%%MatrixMarket matrix coordinate pattern general",
+        f"{M.rows} {M.cols} {sum(map(len, support))}",
+    ]
+    for i, cols in enumerate(support, start=1):
+        if cols:
+            prefix = f"{i} "
+            lines.append(prefix + ("\n" + prefix).join(map(col_text.__getitem__, cols)))
     return "\n".join(lines) + "\n"
+
+
+def _pattern_support(M):
+    # the row supports of a class or rational 0/1 matrix, refusing at the
+    # first entry that is neither
+    rows = class_rows(M, M.values) if isinstance(M, ClassMatrix) else map(M.row, range(M.rows))
+    support = []
+    for i, row in enumerate(rows):
+        cols = []
+        for j, x in enumerate(row):
+            if x == 1:
+                cols.append(j)
+            elif x != 0:
+                raise ParameterError(
+                    "Matrix Market pattern output needs a 0/1 matrix; "
+                    f"entry ({i},{j}) = {x}"
+                )
+        support.append(cols)
+    return support
 
 
 def _mtx_counts(line, count, what):

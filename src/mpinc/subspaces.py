@@ -24,7 +24,8 @@ over the field elements (ordered by their integer encoding sum c_i p^i).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import add
 
 from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
@@ -151,31 +152,52 @@ def inclusion_support(row_sets, col_sets):
     """Row supports of the 0/1 matrix with (R, C) entry 1 iff the point set
     C holds every point of R: the column indices of each row, increasing.
 
-    Each point indexes the columns holding it, and a row's support is the
-    intersection of those index sets (every column for the empty set).
-    Repeated columns are kept apart.
+    Each point is the int mask of the columns holding it, and a row's
+    support is the set bits of the AND of its points' masks, low bit first
+    (every column for the empty set). Repeated columns are kept apart.
     """
-    holders = {}
+    masks = {}
     for j, C in enumerate(col_sets):
+        bit = 1 << j
         for x in C:
-            holders.setdefault(x, set()).add(j)
+            masks[x] = masks.get(x, 0) | bit
     every = tuple(range(len(col_sets)))
-    none = frozenset()
     support = []
     for R in row_sets:
-        if R:
-            first, *rest = (holders.get(x, none) for x in R)
-            support.append(tuple(sorted(first.intersection(*rest))))
-        else:
+        if not R:
             support.append(every)
+            continue
+        held = -1
+        for x in R:
+            held &= masks.get(x, 0)
+        cols = []
+        while held:
+            low = held & -held
+            cols.append(low.bit_length() - 1)
+            held ^= low
+        support.append(tuple(cols))
     return tuple(support)
 
 
 def meet_sizes(row_sets, col_sets):
-    """Yield, for each row point set R, the list of |R intersect C| over col_sets."""
+    """Yield, for each row point set R, the list of |R intersect C| over col_sets.
+
+    Each point holds a 0/1 list over the columns, and a row's sizes are the
+    sum of its points' lists. A point set holds each point once.
+    """
+    ncols = len(col_sets)
+    indicator = {}
+    for j, C in enumerate(col_sets):
+        for x in C:
+            indicator.setdefault(x, [0] * ncols)[j] = 1
+    zeros = [0] * ncols
     for R in row_sets:
-        meet = set(R).intersection
-        yield [len(meet(C)) for C in col_sets]
+        held = [indicator[x] for x in R if x in indicator] or [zeros]
+        sizes = held[0]
+        for more in held[1:]:
+            sizes = list(map(add, sizes, more))
+        # a fresh list even when R holds at most one indexed point
+        yield sizes if len(held) > 1 else sizes[:]
 
 
 def build_incidence(n, q, r, c):
@@ -254,16 +276,26 @@ def class_matrix(n, q, r, c):
     )
 
 
+def class_rows(cm, values):
+    """Yield each row of the expansion of cm, in label order: the entry
+    (C, R) is values[i] where R and C share [i]_q points.
+
+    Pass cm.values for the rationals themselves, or any r + 1 stand-ins
+    (their strings, say) to map each class once.
+    """
+    # the entry for [i]_q shared points is values[i]
+    by_size = {_gbinom(i, 1, cm.q): value for i, value in enumerate(values)}
+    pick = by_size.__getitem__
+    row_sets = _point_sets(cm.q, labels(cm.n, cm.q, cm.c))
+    col_sets = _point_sets(cm.q, labels(cm.n, cm.q, cm.r))
+    for sizes in meet_sizes(row_sets, col_sets):
+        yield list(map(pick, sizes))
+
+
 def expand_class_matrix(cm):
     """Dense [n,c]_q x [n,r]_q matrix, entry (C, R) = values[dim(R intersect C)]."""
-    r_labels = labels(cm.n, cm.q, cm.r)
-    c_labels = labels(cm.n, cm.q, cm.c)
-    # the entry for [i]_q shared points is values[i]
-    by_size = {_gbinom(i, 1, cm.q): value for i, value in enumerate(cm.values)}
-    flat = []
-    for sizes in meet_sizes(_point_sets(cm.q, c_labels), _point_sets(cm.q, r_labels)):
-        flat.extend(map(by_size.__getitem__, sizes))
-    return RatMatrix(len(c_labels), len(r_labels), tuple(flat))
+    flat = chain.from_iterable(class_rows(cm, cm.values))
+    return RatMatrix(cm.rows, cm.cols, tuple(flat))
 
 
 # Kept for perfbench/worker.py's traced replay, which calls it by module path.

@@ -126,3 +126,35 @@ def rref_rational(A):
     rank = len(pivots)
     R = RatMatrix(rank, A.cols, tuple(x for row in rows[:rank] for x in row))
     return R, rank, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# point-set kernels, pair by pair
+
+def holder_inclusion_support(row_sets, col_sets):
+    """Row supports of the 0/1 matrix with (R, C) entry 1 iff C holds every
+    point of R: each point indexes the set of columns holding it, and a
+    row's support is the sorted intersection of those sets (every column
+    for the empty set)."""
+    holders = {}
+    for j, C in enumerate(col_sets):
+        for x in C:
+            holders.setdefault(x, set()).add(j)
+    every = tuple(range(len(col_sets)))
+    none = frozenset()
+    support = []
+    for R in row_sets:
+        if R:
+            first, *rest = (holders.get(x, none) for x in R)
+            support.append(tuple(sorted(first.intersection(*rest))))
+        else:
+            support.append(every)
+    return tuple(support)
+
+
+def pairwise_meet_sizes(row_sets, col_sets):
+    """Yield, for each row point set R, the list of |R intersect C| over
+    col_sets, one set intersection per pair."""
+    for R in row_sets:
+        meet = set(R).intersection
+        yield [len(meet(C)) for C in col_sets]

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpinc.combinat import all_subsets, gaussian_binomial
 from mpinc.errors import ParameterError, ShapeError
@@ -12,14 +14,18 @@ from mpinc.subspaces import (
     build_incidence,
     char_p_obstruction,
     class_matrix,
+    class_rows,
     count_contained_with_intersection,
     count_containing_with_intersection,
     enumerate_subspaces,
     expand_class_matrix,
+    inclusion_support,
     intersection_dim,
+    labels,
     meet_sizes,
     mpinv_class_values,
 )
+import reference
 from reference import rref_gf, to_rows
 
 
@@ -129,6 +135,59 @@ def test_meet_sizes_of_subspace_point_sets(q, n):
     assert list(meet_sizes([S.points for S in rows], [S.points for S in cols])) == [
         [(len(a & b) - 1) // (q - 1) for b in col_spans] for a in row_spans
     ]
+
+
+# Point-set families for the kernel tests: rows draw from more points than
+# the columns, so some row points are held by no column; any set may be
+# empty, and the first half of the columns is repeated after them.
+_row_families = st.lists(st.frozensets(st.integers(0, 11), max_size=6), max_size=12)
+_col_families = st.lists(st.frozensets(st.integers(0, 8), max_size=6), max_size=12).map(
+    lambda cols: cols + cols[: len(cols) // 2]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_families, _col_families)
+@example([], [])
+@example([frozenset()], [])
+@example([], [frozenset()])
+@example([frozenset(), frozenset({9})], [frozenset(), frozenset({1, 2}), frozenset({1, 2})])
+def test_kernels_match_references_on_random_families(rows, cols):
+    assert inclusion_support(rows, cols) == reference.holder_inclusion_support(rows, cols)
+    assert list(meet_sizes(rows, cols)) == list(reference.pairwise_meet_sizes(rows, cols))
+
+
+def _family_point_sets(n, q):
+    # every member of every dimension, as point sets
+    return [
+        S if q == 1 else S.points for d in range(n + 1) for S in labels(n, q, d)
+    ]
+
+
+@pytest.mark.parametrize(
+    "q, n", [(1, n) for n in range(9)] + [(2, n) for n in range(5)]
+    + [(q, n) for q in (3, 4) for n in range(4)]
+)
+def test_kernels_match_references_on_families(q, n):
+    sets = _family_point_sets(n, q)
+    assert inclusion_support(sets, sets) == reference.holder_inclusion_support(sets, sets)
+    assert list(meet_sizes(sets, sets)) == list(reference.pairwise_meet_sizes(sets, sets))
+
+
+def test_meet_sizes_yields_fresh_lists():
+    # rows holding no indexed point, one or several each get a list of their own
+    rows = [frozenset(), frozenset({7}), frozenset({1}), frozenset({1, 2})]
+    yielded = list(meet_sizes(rows, [frozenset({1, 2}), frozenset({2})]))
+    assert yielded == [[0, 0], [0, 0], [1, 0], [2, 1]]
+    assert len({id(sizes) for sizes in yielded}) == len(rows)
+
+
+@pytest.mark.parametrize("n, q, r, c", [(4, 1, 1, 2), (5, 1, 2, 3), (3, 2, 1, 2), (2, 3, 0, 1)])
+def test_class_rows_place_any_stand_ins(n, q, r, c):
+    # the class index i lands wherever values[i] does in the expansion
+    cm = class_matrix(n, q, r, c)
+    rows = [[cm.values[i] for i in row] for row in class_rows(cm, range(r + 1))]
+    assert rows == expand_class_matrix(cm).to_rows()
 
 
 def test_intersection_dim_rejects_other_ambient_space():
