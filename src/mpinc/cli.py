@@ -27,9 +27,11 @@ from .designs import (
 from .errors import CharacteristicError, DesignParseError, MpincError, NotReducibleError
 from .gf import factor_prime_power, render_element
 from .linalg import (
-    first_difference,
-    penrose_check,
-    pseudoinverse_oracle,
+    first_difference_rows,
+    identity_rows,
+    int_rows,
+    oracle_rows,
+    penrose_products,
     rat_matrix_mod_p,
 )
 from .rationals import is_prime, rat_mod_p
@@ -37,8 +39,8 @@ from .subspaces import (
     build_incidence,
     char_p_obstruction,
     class_matrix,
-    expand_class_matrix,
     labels,
+    scaled_class_rows,
 )
 
 EXIT_OK = 0
@@ -169,32 +171,41 @@ def _penrose_failure(report, inverse):
     return None
 
 
+def _oracle_mismatch(diff, closed, scale, oracle, den):
+    """Print where the closed form (closed / scale) and the oracle
+    (oracle / den) first differ and return EXIT_VERIFY."""
+    i, j = diff
+    return _verify_failure(
+        f"closed form differs from oracle at entry {diff}: "
+        f"{Fraction(closed[i][j], scale)} vs {Fraction(oracle[i][j], den)}"
+    )
+
+
 def _cmd_verify(args):
     if args.kind == "design":
         return _cmd_verify_design(args)
     n, q, r, c = args.n, args.q, args.r, args.c
     M = build_incidence(n, q, r, c)
-    X = expand_class_matrix(class_matrix(n, q, r, c))
     # a set report (q = 1) carries no field order
     params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
 
-    A = M.to_rat_matrix()
-    report = penrose_check(A, X)
+    # A and the closed form X = Xi / x as int rows, the oracle as
+    # oracle / den: a Fraction is built only for a failure message
+    _, Ai = int_rows(M)
+    x, Xi = scaled_class_rows(class_matrix(n, q, r, c))
+    report, ax, xa = penrose_products(Ai, Xi, x)
     failure = _penrose_failure(report, "the closed-form inverse")
     if failure is not None:
         return failure
-    oracle = pseudoinverse_oracle(A)
-    diff = first_difference(X, oracle)
+    oracle, den = oracle_rows(Ai, M.cols)
+    diff = first_difference_rows(Xi, x, oracle, den)
     if diff is not None:
-        return _verify_failure(
-            f"closed form differs from oracle at entry {diff}: "
-            f"{X.at(*diff)} vs {oracle.at(*diff)}"
-        )
+        return _oracle_mismatch(diff, Xi, x, oracle, den)
     identities = {}
     if n >= r + c:
-        identities["MM*=I"] = (A @ X).is_identity()
+        identities["MM*=I"] = ax == identity_rows(M.rows, x)
     if n <= r + c:
-        identities["M*M=I"] = (X @ A).is_identity()
+        identities["M*M=I"] = xa == identity_rows(M.cols, x)
     for name, ok in identities.items():
         if not ok:
             return _verify_failure(f"regime identity {name} fails")
@@ -214,21 +225,19 @@ def _cmd_verify(args):
 
 def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
-    M = build_design_incidence(D, args.s).to_rat_matrix()
-    X = pseudoinverse_oracle(M)
-    report = penrose_check(M, X)
+    M = build_design_incidence(D, args.s)
+    _, Ai = int_rows(M)
+    X, den = oracle_rows(Ai, M.cols)
+    report, _, _ = penrose_products(Ai, X, den)
     failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")
     if failure is not None:
         return failure
     closed_matches = None
     if args.s == 1 and D.t >= 2 and D.v > D.k:
-        closed = m1_mpinv_closed_form(D)
-        diff = first_difference(closed, X)
+        scale, closed = int_rows(m1_mpinv_closed_form(D))
+        diff = first_difference_rows(closed, scale, X, den)
         if diff is not None:
-            return _verify_failure(
-                f"closed form differs from oracle at entry {diff}: "
-                f"{closed.at(*diff)} vs {X.at(*diff)}"
-            )
+            return _oracle_mismatch(diff, closed, scale, X, den)
         closed_matches = True
     doc = {
         "kind": "design",

@@ -23,7 +23,9 @@ from .errors import DesignParseError, ParameterError
 from .linalg import (
     IncidenceMatrix,
     RatMatrix,
-    penrose_check,
+    int_rows,
+    oracle_rows,
+    penrose_products,
     pseudoinverse_oracle,
 )
 from .subspaces import inclusion_support, meet_sizes
@@ -248,7 +250,7 @@ def m1_mpinv_closed_form(D):
 
 def ms_mpinv_oracle(D, s):
     """The b x C(v,s) Moore-Penrose inverse of M_s via the exact oracle."""
-    return pseudoinverse_oracle(build_design_incidence(D, s).to_rat_matrix())
+    return pseudoinverse_oracle(build_design_incidence(D, s))
 
 
 @dataclass(frozen=True)
@@ -313,31 +315,46 @@ def entry_classes(name, blocks, subsets, X):
     deviating from their class's modal value (ties break toward the smaller
     rational), empty when every class is constant.
     """
+    d, rows = int_rows(X)
+    return _int_entry_classes(name, blocks, subsets, rows, d)
+
+
+def _int_entry_classes(name, blocks, subsets, rows, den):
+    """entry_classes for X = rows / den with den > 0, grouped on the ints.
+
+    Since den > 0 the ints sort as the rationals do; one Fraction is built
+    per distinct value.
+    """
+    sizes = list(meet_sizes(blocks, subsets))
+    counts = Counter()
+    for row, row_sizes in zip(rows, sizes):
+        counts.update(zip(row_sizes, row))
     by_class = {}
-    for bi, sizes in enumerate(meet_sizes(blocks, subsets)):
-        for si, (S, i) in enumerate(zip(subsets, sizes)):
-            by_class.setdefault(i, []).append((bi, S, X.at(bi, si)))
+    for (i, v), k in counts.items():
+        by_class.setdefault(i, {})[v] = k
+    frac = {v: Fraction(v, den) for v in {v for _, v in counts}}
     classes = {}
     exceptions = []
-    for i, triples in sorted(by_class.items()):
-        values = Counter(entry for _, _, entry in triples)
-        classes[i] = tuple(sorted(values))
+    for i, values in sorted(by_class.items()):
+        ordered = sorted(values)
+        classes[i] = tuple(map(frac.__getitem__, ordered))
         if len(values) > 1:
-            mode = max(sorted(values), key=lambda v: values[v])
+            mode = max(ordered, key=values.__getitem__)
             exceptions.extend(
-                (name, bi, S, entry)
-                for bi, S, entry in triples
-                if entry != mode
+                (name, bi, subsets[si], frac[v])
+                for bi, (row, row_sizes) in enumerate(zip(rows, sizes))
+                for si, (v, size) in enumerate(zip(row, row_sizes))
+                if size == i and v != mode
             )
     return classes, exceptions
 
 
 def _survey_one(D, s):
     M = build_design_incidence(D, s)
-    A = M.to_rat_matrix()
-    X = pseudoinverse_oracle(A)
-    report = penrose_check(A, X)
-    classes, exceptions = entry_classes(D.name, D.blocks, M.row_labels, X)
+    _, A = int_rows(M)
+    X, den = oracle_rows(A, M.cols)
+    report, _, _ = penrose_products(A, X, den)
+    classes, exceptions = _int_entry_classes(D.name, D.blocks, M.row_labels, X, den)
     return classes, report, exceptions
 
 

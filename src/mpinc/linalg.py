@@ -1,23 +1,34 @@
 """Exact rational matrices, the pseudoinverse oracle, and Penrose checkers.
 
 Every kernel runs on Python ints. A RatMatrix is scaled once by the lcm of
-its denominators; products then go through one row-sparse integer product
-that skips zero entries, and elimination is fraction-free (Bareiss 1968),
-so there is no rational arithmetic and no rational swell in between.
-Fractions are built only for results.
+its denominators, and an IncidenceMatrix is read straight from its row
+supports; products then go through one row-sparse integer product that
+visits only nonzero entries, and elimination is fraction-free (Bareiss
+1968), so there is no rational arithmetic and no rational swell in between.
+Fractions are built only for results. The int cores (int_rows, oracle_rows,
+penrose_products, first_difference_rows) are what the CLI and the survey
+call; the RatMatrix functions are thin wrappers over them.
 
-The oracle is the skeleton form of the full-rank factorization. With I the
-pivot rows and J the pivot columns of A, F = A[:, J] and R = A[I, :],
+The oracle is the full-rank factorization formula (Ben-Israel and Greville
+2003)
 
-    A+ = R^T (F^T A R^T)^-1 F^T.
+    A+ = R^T (F^T A R^T)^-1 F^T,
 
-It reads only A, never a closed-form inverse, and works at any rank.
-Nothing here touches floating point.
+where the columns of F are a basis of the column space of A and the rows
+of R a basis of its row space. F = I when A has full row rank and R = I
+when it has full column rank, so a square nonsingular A is inverted once
+(det A, not the skeleton's det(A)^3), a wide A goes through the m x m Gram
+A A^T and a tall one through the n x n Gram A^T A. Below full rank it is
+the skeleton: with I the pivot rows and J the pivot columns of A,
+F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
+
+The Penrose certificate forms both A X and X A and reaches A X A and X A X
+through the smaller of the two. Nothing here touches floating point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import add, mul
 
@@ -90,8 +101,8 @@ class RatMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, A = _int_rows(self)
-        b, B = _int_rows(other)
+        a, A = int_rows(self)
+        b, B = int_rows(other)
         return _rat_matrix(_matmul(A, B, other.cols), self.rows, other.cols, 1, a * b)
 
     def is_identity(self):
@@ -159,16 +170,30 @@ class PenroseReport:
 # ---------------------------------------------------------------------------
 # integer core: matrices as lists of int rows
 
-def _int_rows(M):
-    """(d, rows): d is the lcm of M's denominators, rows the int rows of d*M."""
-    e = M.entries
-    d = lcm(*{x.denominator for x in e})
-    if d == 1:
-        flat = [x.numerator for x in e]
-    else:
-        flat = [x.numerator * (d // x.denominator) for x in e]
+def int_rows(M):
+    """(d, rows): rows are the int rows of d*M, with d > 0 the lcm of M's
+    denominators. An IncidenceMatrix is read from its supports, with d = 1.
+    """
+    if isinstance(M, IncidenceMatrix):
+        rows = []
+        for support in M.row_support:
+            row = [0] * M.cols
+            for j in support:
+                row[j] = 1
+            rows.append(row)
+        return 1, rows
+    d, flat = scaled_ints(M.entries)
     c = M.cols
     return d, [flat[i * c : (i + 1) * c] for i in range(M.rows)]
+
+
+def scaled_ints(values):
+    """(d, ints): ints is the list d*values, with d > 0 the lcm of the
+    denominators of the rationals in values."""
+    d = lcm(*{x.denominator for x in values})
+    if d == 1:
+        return d, [x.numerator for x in values]
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def _rat_matrix(rows, nrows, ncols, num, den):
@@ -176,6 +201,11 @@ def _rat_matrix(rows, nrows, ncols, num, den):
     flat = [v for row in rows for v in row]
     frac = {v: Fraction(num * v, den) for v in set(flat)}
     return RatMatrix(nrows, ncols, tuple(map(frac.__getitem__, flat)))
+
+
+def identity_rows(k, scale=1):
+    """The int rows of scale times the k x k identity."""
+    return [[scale if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def _transpose(rows, ncols):
@@ -191,11 +221,11 @@ def _row_sparse_matmul(a, b, ncols):
     out = []
     for arow in a:
         acc = [0] * ncols
-        for k, x in enumerate(arow):
+        for x, brow in compress(zip(arow, b), arow):
             if x == 1:
-                acc = list(map(add, acc, b[k]))
-            elif x:
-                acc = list(map(add, acc, map(mul, repeat(x), b[k])))
+                acc = list(map(add, acc, brow))
+            else:
+                acc = list(map(add, acc, map(mul, repeat(x), brow)))
         out.append(acc)
     return out
 
@@ -261,13 +291,56 @@ def _gauss_jordan(rows, width):
 
 
 def _inverse(M):
-    """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M."""
+    """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M.
+
+    SingularError when M is singular.
+    """
     k = len(M)
-    aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(M)]
+    aug = [row + unit for row, unit in zip(M, identity_rows(k))]
     reduced, _, pivots, d = _gauss_jordan(aug, k)
     if len(pivots) < k:
         raise SingularError("matrix is singular")
     return [row[k:] for row in reduced], d
+
+
+def _full_rank_inverse(a, n):
+    """(rows, d) with A+ = rows / d when A (int rows a, m x n) has full row
+    or full column rank, else SingularError.
+
+    Square A is inverted; a wide A gives A^T (A A^T)^-1 and a tall one
+    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank.
+    """
+    m = len(a)
+    if m == n:
+        return _inverse(a)
+    at = _transpose(a, n)
+    if m < n:
+        adj, d = _inverse(_matmul(a, at, m))
+        return _matmul(at, adj, m), d
+    adj, d = _inverse(_matmul(at, a, n))
+    return _matmul(adj, at, m), d
+
+
+def oracle_rows(a, n):
+    """(rows, den) with A+ = rows / den and den > 0, for the int rows a of
+    an m x n matrix A: the full-rank factorization, which reads only A.
+    """
+    m = len(a)
+    try:
+        rows, den = _full_rank_inverse(a, n)
+    except SingularError:
+        # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
+        _, order, pivots, _ = _gauss_jordan(a, n)
+        k = len(pivots)
+        if k == 0:
+            return [[0] * m for _ in range(n)], 1
+        Rt = _transpose([a[i] for i in order[:k]], n)
+        Ft = [[row[j] for row in a] for j in pivots]
+        adj, den = _inverse(_matmul(Ft, _matmul(a, Rt, k), k))
+        rows = _matmul(Rt, _matmul(adj, Ft, m), m)
+    if den < 0:
+        return [[-v for v in row] for row in rows], -den
+    return rows, den
 
 
 def _check_pair(A, X):
@@ -278,55 +351,68 @@ def _check_pair(A, X):
         )
 
 
-def _penrose(a, x, scale, reduce):
-    """The four Penrose conditions on the int rows a (m x n) and x (n x m).
+def penrose_products(a, x, scale, reduce=None):
+    """(report, ax, xa): the four Penrose conditions on the int rows a
+    (m x n) and x (n x m), and the products A X and X A they read.
 
-    A X A = A reads reduce(a x a) = scale * a and X A X = X reads
-    reduce(x a x) = scale * x; reduce maps each product to the
-    representatives that a and x are written in.
+    A X A = A reads a x a = scale * a and X A X = X reads x a x = scale * x;
+    reduce, when given, maps each product to the representatives that a
+    and x are written in. Both triple products go through the smaller of
+    A X (m x m) and X A (n x n).
     """
     m, n = len(a), len(x)
-    ax = reduce(_matmul(a, x, m))
-    return PenroseReport(
-        cond1=reduce(_matmul(ax, a, n)) == [[scale * v for v in row] for row in a],
-        cond2=reduce(_matmul(x, ax, m)) == [[scale * v for v in row] for row in x],
+    ax, xa = _matmul(a, x, m), _matmul(x, a, n)
+    if reduce is not None:
+        ax, xa = reduce(ax), reduce(xa)
+    if n < m:
+        axa, xax = _matmul(a, xa, n), _matmul(xa, x, m)
+    else:
+        axa, xax = _matmul(ax, a, n), _matmul(x, ax, m)
+    if reduce is not None:
+        axa, xax = reduce(axa), reduce(xax)
+    report = PenroseReport(
+        cond1=axa == [[scale * v for v in row] for row in a],
+        cond2=xax == [[scale * v for v in row] for row in x],
         cond3=_is_symmetric(ax),
-        cond4=_is_symmetric(reduce(_matmul(x, a, n))),
+        cond4=_is_symmetric(xa),
     )
+    return report, ax, xa
+
+
+def first_difference_rows(a, da, b, db):
+    """(i, j) of the first entry where a / da and b / db differ, or None;
+    a and b are int rows of one shape."""
+    for i, (arow, brow) in enumerate(zip(a, b)):
+        left = [v * db for v in arow]
+        right = [v * da for v in brow]
+        if left != right:
+            return i, next(j for j, (x, y) in enumerate(zip(left, right)) if x != y)
+    return None
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# public operations on RatMatrix (and IncidenceMatrix) values
 
 def pseudoinverse_oracle(A):
-    """The Moore-Penrose inverse of A via its skeleton, exactly.
+    """The Moore-Penrose inverse of A (a RatMatrix or IncidenceMatrix), exactly.
 
-    With a*A = Ai integral and Fi, Ri the pivot columns and rows of Ai,
-    A+ = a * Ri^T (Fi^T Ai Ri^T)^-1 Fi^T; the k x k inverse is adj/det.
+    With a*A = Ai integral, A+ = a * Ai+, and oracle_rows gives Ai+.
     """
-    m, n = A.rows, A.cols
-    a, Ai = _int_rows(A)
-    _, order, pivots, _ = _gauss_jordan(Ai, n)
-    k = len(pivots)
-    if k == 0:
-        return RatMatrix.zeros(n, m)
-    Rt = _transpose([Ai[i] for i in order[:k]], n)
-    Ft = [[row[j] for row in Ai] for j in pivots]
-    adj, det = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
-    X = _matmul(Rt, _matmul(adj, Ft, m), m)
-    return _rat_matrix(X, n, m, a, det)
+    a, Ai = int_rows(A)
+    rows, den = oracle_rows(Ai, A.cols)
+    return _rat_matrix(rows, A.cols, A.rows, a, den)
 
 
 def penrose_check(A, X):
     """Evaluate the four Penrose conditions for (A, X) with exact equality.
 
     With a*A = Ai and x*X = Xi integral, A X A = A reads Ai Xi Ai = a x Ai
-    and X A X = X reads Xi (Ai Xi) = a x Xi; symmetry is unaffected.
+    and X A X = X reads Xi Ai Xi = a x Xi; symmetry is unaffected.
     """
     _check_pair(A, X)
-    a, Ai = _int_rows(A)
-    x, Xi = _int_rows(X)
-    return _penrose(Ai, Xi, a * x, lambda rows: rows)
+    a, Ai = int_rows(A)
+    x, Xi = int_rows(X)
+    return penrose_products(Ai, Xi, a * x)[0]
 
 
 def rat_matrix_mod_p(A, p):
@@ -338,7 +424,7 @@ def rat_matrix_mod_p(A, p):
 
 
 def _residue_rows(A, p):
-    d, rows = _int_rows(A)
+    d, rows = int_rows(A)
     if d != 1:
         raise ParameterError("mod-p Penrose check needs integer entries; reduce first")
     return [[v % p for v in row] for row in rows]
@@ -351,17 +437,16 @@ def penrose_check_mod_p(A, X, p):
     rat_matrix_mod_p).
     """
     _check_pair(A, X)
-    return _penrose(
+    return penrose_products(
         _residue_rows(A, p), _residue_rows(X, p), 1,
         lambda rows: [[v % p for v in row] for row in rows],
-    )
+    )[0]
 
 
 def first_difference(A, B):
     """(i, j) of the first entry where A and B differ, or None if equal."""
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ShapeError("shape mismatch")
-    for index, (x, y) in enumerate(zip(A.entries, B.entries)):
-        if x != y:
-            return divmod(index, A.cols)
-    return None
+    da, a = int_rows(A)
+    db, b = int_rows(B)
+    return first_difference_rows(a, da, b, db)

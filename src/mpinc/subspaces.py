@@ -30,7 +30,7 @@ from operator import add
 from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
 from .gf import GFMatrix, build_field, factor_prime_power, gf_add, gf_mul
-from .linalg import IncidenceMatrix, RatMatrix
+from .linalg import IncidenceMatrix, RatMatrix, scaled_ints
 
 
 def _check_params(n, q, r, c):
@@ -290,6 +290,13 @@ def class_rows(cm, values):
     col_sets = _point_sets(cm.q, labels(cm.n, cm.q, cm.r))
     for sizes in meet_sizes(row_sets, col_sets):
         yield list(map(pick, sizes))
+
+
+def scaled_class_rows(cm):
+    """(d, rows): the int rows of d times the expansion of cm, with d > 0
+    the lcm of the class values' denominators."""
+    d, ints = scaled_ints(cm.values)
+    return d, list(class_rows(cm, ints))
 
 
 def expand_class_matrix(cm):

@@ -158,3 +158,38 @@ def pairwise_meet_sizes(row_sets, col_sets):
     for R in row_sets:
         meet = set(R).intersection
         yield [len(meet(C)) for C in col_sets]
+
+
+# ---------------------------------------------------------------------------
+# the skeleton pseudoinverse, in Fractions
+
+def _fraction_product(A, B):
+    """A @ B entry by entry, as a sum of Fraction products."""
+    return RatMatrix(
+        A.rows, B.cols,
+        tuple(sum((A.at(i, k) * B.at(k, j) for k in range(A.cols)), Fraction(0))
+              for i in range(A.rows) for j in range(B.cols)),
+    )
+
+
+def skeleton_pseudoinverse(A):
+    """A+ = R^T (F^T A R^T)^-1 F^T with F = A[:, J] and R = A[I, :], for the
+    pivot columns J of A and its pivot rows I (the pivot columns of A^T).
+
+    This is the skeleton form at every rank, with the k x k inverse read
+    off the reduced row echelon form of [K | I].
+    """
+    _, k, cols = rref_rational(A)
+    if k == 0:
+        return RatMatrix.zeros(A.cols, A.rows)
+    _, _, rows = rref_rational(A.transpose())
+    F = RatMatrix.from_rows([[A.at(i, j) for j in cols] for i in range(A.rows)])
+    R = RatMatrix.from_rows([A.row(i) for i in rows])
+    K = _fraction_product(_fraction_product(F.transpose(), A), R.transpose())
+    augmented = RatMatrix.from_rows(
+        [list(K.row(i)) + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    )
+    reduced, _, pivots = rref_rational(augmented)
+    assert pivots == tuple(range(k)), "F^T A R^T is singular"
+    K_inv = RatMatrix.from_rows([list(reduced.row(i))[k:] for i in range(k)])
+    return _fraction_product(_fraction_product(R.transpose(), K_inv), F.transpose())

@@ -5,16 +5,16 @@ from pathlib import Path
 
 import pytest
 
-import mpinc.cli
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
-from mpinc.linalg import RatMatrix, rat_matrix_mod_p
+from mpinc.linalg import RatMatrix, oracle_rows, rat_matrix_mod_p
 from mpinc.rationals import PRIMALITY_BOUND, rat_mod_p
 from mpinc.subspaces import (
     build_incidence,
     char_p_obstruction,
     class_matrix,
     expand_class_matrix,
+    scaled_class_rows,
 )
 
 FANO = "samples/fano/fano.blk"
@@ -214,25 +214,43 @@ def test_verify_design(capsys):
     assert doc["ok"] is True
 
 
-def flip_first_entry(X):
-    flipped = list(X.entries)
-    flipped[0] += 1
-    return RatMatrix(X.rows, X.cols, tuple(flipped))
+def add_one_at(rows, scale, i, j):
+    """The int rows of X + E_ij, for the int rows of scale * X."""
+    bumped = [row[:] for row in rows]
+    bumped[i][j] += scale
+    return bumped
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "mpinc.cli.expand_class_matrix", lambda cm: flip_first_entry(expand_class_matrix(cm))
-    )
+    def bumped_closed_form(cm):
+        x, rows = scaled_class_rows(cm)
+        return x, add_one_at(rows, x, 0, 0)
+
+    monkeypatch.setattr("mpinc.cli.scaled_class_rows", bumped_closed_form)
     code, out, err = run(capsys, ["verify", "set", "--n", "4", "--r", "1", "--c", "2"])
     assert (code, out, err) == (1, "", "cond1 fails for the closed-form inverse\n")
 
 
-def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
-    oracle = mpinc.cli.pseudoinverse_oracle
-    monkeypatch.setattr(
-        "mpinc.cli.pseudoinverse_oracle", lambda A: flip_first_entry(oracle(A))
+def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
+    # the closed form passes all four conditions, so only the comparison
+    # with the (here perturbed) oracle can fail; entry (1, 2) is 1/3
+    def bumped_oracle(a, n):
+        rows, den = oracle_rows(a, n)
+        return add_one_at(rows, den, 1, 2), den
+
+    monkeypatch.setattr("mpinc.cli.oracle_rows", bumped_oracle)
+    code, out, err = run(capsys, ["verify", "set", "--n", "4", "--r", "1", "--c", "2"])
+    assert (code, out, err) == (
+        1, "", "closed form differs from oracle at entry (1, 2): 1/3 vs 4/3\n"
     )
+
+
+def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
+    def bumped_oracle(a, n):
+        rows, den = oracle_rows(a, n)
+        return add_one_at(rows, den, 0, 0), den
+
+    monkeypatch.setattr("mpinc.cli.oracle_rows", bumped_oracle)
     code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
     assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
 

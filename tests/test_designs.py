@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mpinc.combinat import all_subsets
 from mpinc.designs import (
     Design,
+    _survey_one,
     build_design_incidence,
     entry_classes,
     lambda_s,
@@ -17,7 +19,13 @@ from mpinc.designs import (
     validated_design,
 )
 from mpinc.errors import DesignParseError, ParameterError
-from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
+from mpinc.linalg import (
+    RatMatrix,
+    _full_rank_inverse,
+    int_rows,
+    penrose_check,
+    pseudoinverse_oracle,
+)
 from mpinc.subspaces import meet_sizes
 
 FANO = "samples/fano/fano.blk"
@@ -272,6 +280,27 @@ def test_entry_classes_modal_tie_prefers_smaller():
         ("toy", 0, (2,), Fraction(7)),
         ("toy", 1, (4,), Fraction(7)),
     ]
+
+
+def test_survey_one_with_negative_pivot_and_modal_tie():
+    # M_1 of these five blocks is square and nonsingular, and the last
+    # Bareiss pivot of its inversion is negative. Class i = 0 holds -2/3
+    # and -1/3 four times each, so the tie must break toward -2/3 on the
+    # rationals, whatever the sign of the pivot the ints were scaled by.
+    D = Design(v=5, blocks=((1, 2, 3), (1, 4, 5), (1, 2, 4), (1, 2, 5), (2, 3, 4)),
+               k=3, name="tie")
+    M = build_design_incidence(D, 1)
+    _, a = int_rows(M)
+    assert _full_rank_inverse(a, M.cols)[1] < 0
+    classes, report, exceptions = _survey_one(D, 1)
+    X = pseudoinverse_oracle(M.to_rat_matrix())
+    assert (classes, exceptions) == entry_classes(D.name, D.blocks, M.row_labels, X)
+    assert report == penrose_check(M.to_rat_matrix(), X)
+    assert report.all_ok
+    assert classes[0] == (Fraction(-2, 3), Fraction(-1, 3), Fraction(1, 3))
+    deviating = Counter(entry for *_, entry in exceptions)
+    assert Fraction(-2, 3) not in deviating
+    assert deviating[Fraction(-1, 3)] == 4 + 2  # four in class 0, two in class 1
 
 
 def test_survey_single_design_s1():

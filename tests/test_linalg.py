@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpinc.linalg
@@ -17,7 +17,7 @@ from mpinc.linalg import (
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
-from reference import rref_rational
+from reference import rref_rational, skeleton_pseudoinverse
 
 
 def M(rows):
@@ -211,22 +211,91 @@ def test_oracle_rank_deficient_rational(rnd, scale):
     assert pseudoinverse_oracle(X) == A
 
 
-# (A, X) pairs where exactly one Penrose condition fails
+# (A, X) pairs where exactly one Penrose condition fails: square, tall
+# (m > n) and wide (m < n), so that both orientations of the triple
+# products are exercised. X = 0 fails only A X A = A, and A = 0 only X A X = X.
 ONE_CONDITION_FAILS = {
     "cond1": (M([[1, 2], [0, 0]]), RatMatrix.zeros(2, 2)),
+    "cond1-tall": (M([[1], [2], [0]]), RatMatrix.zeros(1, 3)),
+    "cond1-wide": (M([[1, 2, 0]]), RatMatrix.zeros(3, 1)),
     "cond2": (RatMatrix.zeros(2, 2), M([[1, 0], [Fraction(1, 3), 1]])),
+    "cond2-tall": (RatMatrix.zeros(3, 1), M([[1, Fraction(1, 3), 0]])),
+    "cond2-wide": (RatMatrix.zeros(1, 3), M([[1], [Fraction(1, 3)], [0]])),
     "cond3": (M([[1], [1]]), M([[1, 0]])),
+    "cond3-wide": (M([[1, 0, 0], [1, 0, 0]]), M([[1, 0], [0, 0], [0, 0]])),
     "cond4": (M([[1, 1]]), M([[1], [0]])),
+    "cond4-tall": (M([[1, 1], [0, 0], [0, 0]]), M([[1, 0, 0], [0, 0, 0]])),
 }
+
+
+def failed_conditions(report):
+    return {c for c in ("cond1", "cond2", "cond3", "cond4") if not getattr(report, c)}
 
 
 @pytest.mark.parametrize("name", sorted(ONE_CONDITION_FAILS))
 def test_penrose_check_flags_exactly_one_condition(name):
     A, X = ONE_CONDITION_FAILS[name]
-    report = penrose_check(A, X)
-    failed = {c for c in ("cond1", "cond2", "cond3", "cond4") if not getattr(report, c)}
-    assert failed == {name}
+    assert failed_conditions(penrose_check(A, X)) == {name.split("-")[0]}
     assert penrose_check(A, pseudoinverse_oracle(A)).all_ok
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CONDITION_FAILS))
+def test_penrose_mod_p_flags_the_same_condition(name):
+    # every entry and product here is far below p, so reduction keeps
+    # each equality and each inequality
+    p = 10007
+    A, X = ONE_CONDITION_FAILS[name]
+    report = penrose_check_mod_p(rat_matrix_mod_p(A, p), rat_matrix_mod_p(X, p), p)
+    assert failed_conditions(report) == {name.split("-")[0]}
+
+
+@st.composite
+def shaped_matrices(draw, kind):
+    """(kind, A): a rational A that is square, wide (m < n), tall (m > n)
+    or rank-deficient (rank < min(m, n))."""
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    if kind == "deficient":
+        m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+        k = draw(st.integers(1, min(m, n) - 1))
+        F = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+        G = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+        return kind, M(F) @ M(G)
+    small, large = draw(st.integers(1, 4)), draw(st.integers(5, 6))
+    m, n = {"square": (small, small), "wide": (small, large), "tall": (large, small)}[kind]
+    return kind, M(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                 min_size=m, max_size=m)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("square", "wide", "tall", "deficient")).flatmap(shaped_matrices))
+def test_oracle_equals_skeleton_reference(kind_and_matrix):
+    # square nonsingular, full row rank, full column rank and rank-deficient:
+    # the full-rank factorization must agree with the skeleton at every rank
+    kind, A = kind_and_matrix
+    rank = rref_rational(A)[1]
+    if kind == "deficient":
+        assert rank < min(A.rows, A.cols)
+    else:
+        assume(rank == min(A.rows, A.cols))
+    assert pseudoinverse_oracle(A) == skeleton_pseudoinverse(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_incidence_matrix_reads_like_its_dense_form(m, n, data):
+    flags = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                               min_size=m, max_size=m))
+    inc = IncidenceMatrix(
+        rows=m, cols=n,
+        row_support=tuple(tuple(j for j, bit in enumerate(row) if bit) for row in flags),
+    )
+    A = inc.to_rat_matrix()
+    X = pseudoinverse_oracle(A)
+    assert pseudoinverse_oracle(inc) == X
+    assert penrose_check(inc, X) == penrose_check(A, X)
+    other = M([[Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
+                for _ in range(m)] for _ in range(n)]) if m and n else X
+    assert penrose_check(inc, other) == penrose_check(A, other)
 
 
 @settings(max_examples=80, deadline=None)
