@@ -18,20 +18,20 @@ from . import formats
 from .combinat import all_subsets, binomial, gaussian_binomial, q_integer
 from .designs import (
     build_design_incidence,
+    has_closed_form,
     m1_mpinv_closed_form,
     ms_mpinv_oracle,
     parse_design,
     survey_designs,
     validated_design,
 )
-from .errors import CharacteristicError, DesignParseError, MpincError, NotReducibleError
+from .errors import CharacteristicError, MpincError, NotReducibleError
 from .gf import factor_prime_power, render_element
 from .linalg import (
-    first_difference_rows,
-    identity_rows,
-    int_rows,
-    oracle_rows,
+    first_difference,
+    penrose_check,
     penrose_products,
+    pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
 from .rationals import is_prime, rat_mod_p
@@ -39,8 +39,8 @@ from .subspaces import (
     build_incidence,
     char_p_obstruction,
     class_matrix,
+    expand_class_matrix,
     labels,
-    scaled_class_rows,
 )
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def _cmd_mpinv(args):
         raise MpincError(f"--mod {mod} is not a prime")
     if args.kind == "design":
         D = _load_design(args.file, args.t)
-        if args.s == 1 and D.t >= 2 and D.v > D.k:
+        if has_closed_form(D, args.s):
             X = m1_mpinv_closed_form(D)
         else:
             X = ms_mpinv_oracle(D, args.s)
@@ -171,13 +171,16 @@ def _penrose_failure(report, inverse):
     return None
 
 
-def _oracle_mismatch(diff, closed, scale, oracle, den):
-    """Print where the closed form (closed / scale) and the oracle
-    (oracle / den) first differ and return EXIT_VERIFY."""
-    i, j = diff
+def _oracle_mismatch(closed, oracle):
+    """Print where the closed form and the oracle first differ and return
+    EXIT_VERIFY, or None when they are equal.
+    """
+    diff = first_difference(closed, oracle)
+    if diff is None:
+        return None
     return _verify_failure(
         f"closed form differs from oracle at entry {diff}: "
-        f"{Fraction(closed[i][j], scale)} vs {Fraction(oracle[i][j], den)}"
+        f"{closed.at(*diff)} vs {oracle.at(*diff)}"
     )
 
 
@@ -189,23 +192,18 @@ def _cmd_verify(args):
     # a set report (q = 1) carries no field order
     params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
 
-    # A and the closed form X = Xi / x as int rows, the oracle as
-    # oracle / den: a Fraction is built only for a failure message
-    _, Ai = int_rows(M)
-    x, Xi = scaled_class_rows(class_matrix(n, q, r, c))
-    report, ax, xa = penrose_products(Ai, Xi, x)
+    X = expand_class_matrix(class_matrix(n, q, r, c))
+    report, MX, XM = penrose_products(M, X)
     failure = _penrose_failure(report, "the closed-form inverse")
+    if failure is None:
+        failure = _oracle_mismatch(X, pseudoinverse_oracle(M))
     if failure is not None:
         return failure
-    oracle, den = oracle_rows(Ai, M.cols)
-    diff = first_difference_rows(Xi, x, oracle, den)
-    if diff is not None:
-        return _oracle_mismatch(diff, Xi, x, oracle, den)
     identities = {}
     if n >= r + c:
-        identities["MM*=I"] = ax == identity_rows(M.rows, x)
+        identities["MM*=I"] = MX.is_identity()
     if n <= r + c:
-        identities["M*M=I"] = xa == identity_rows(M.cols, x)
+        identities["M*M=I"] = XM.is_identity()
     for name, ok in identities.items():
         if not ok:
             return _verify_failure(f"regime identity {name} fails")
@@ -226,18 +224,16 @@ def _cmd_verify(args):
 def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
     M = build_design_incidence(D, args.s)
-    _, Ai = int_rows(M)
-    X, den = oracle_rows(Ai, M.cols)
-    report, _, _ = penrose_products(Ai, X, den)
+    X = pseudoinverse_oracle(M)
+    report = penrose_check(M, X)
     failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")
     if failure is not None:
         return failure
     closed_matches = None
-    if args.s == 1 and D.t >= 2 and D.v > D.k:
-        scale, closed = int_rows(m1_mpinv_closed_form(D))
-        diff = first_difference_rows(closed, scale, X, den)
-        if diff is not None:
-            return _oracle_mismatch(diff, closed, scale, X, den)
+    if has_closed_form(D, args.s):
+        failure = _oracle_mismatch(m1_mpinv_closed_form(D), X)
+        if failure is not None:
+            return failure
         closed_matches = True
     doc = {
         "kind": "design",
@@ -264,13 +260,7 @@ def _cmd_survey(args):
     )
     if not files:
         raise MpincError(f"{args.dir} contains no design files")
-    designs = []
-    for path in files:
-        try:
-            designs.append(_load_design(path, args.t))
-        except DesignParseError as exc:
-            raise MpincError(f"{path.name}: {exc}")
-    report = survey_designs(designs, args.s)
+    report = survey_designs([_load_design(path, args.t) for path in files], args.s)
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -20,14 +20,7 @@ from itertools import combinations
 
 from .combinat import all_subsets, binomial
 from .errors import DesignParseError, ParameterError
-from .linalg import (
-    IncidenceMatrix,
-    RatMatrix,
-    int_rows,
-    oracle_rows,
-    penrose_products,
-    pseudoinverse_oracle,
-)
+from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_oracle
 from .subspaces import inclusion_support, meet_sizes
 
 
@@ -78,13 +71,21 @@ def parse_design(source, name=None):
     cross-checked; without a header v is inferred as the largest point seen.
     t and lam stay unset until validated_design() has counted them.
     """
+    def malformed(message, lineno):
+        return DesignParseError(message, line=lineno, source=label)
+
     if hasattr(source, "read"):
-        text = source.read()
         label = name or getattr(source, "name", "design")
+        text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
         label = name or os.path.basename(str(source))
+        with open(source, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            where = raw.count(b"\n", 0, exc.start) + 1
+            raise malformed(f"byte {raw[exc.start]:#x} is not ASCII", where) from None
 
     declared = None
     blocks = []
@@ -107,27 +108,22 @@ def parse_design(source, name=None):
         try:
             points = tuple(int(x) for x in line.split())
         except ValueError:
-            raise DesignParseError(f"non-integer point in block {line!r}", line=lineno)
+            raise malformed(f"non-integer point in block {line!r}", lineno)
         if not points:
             continue
-        prev = 0
-        for x in points:
-            if x <= prev:
-                raise DesignParseError(
-                    f"block {points} is not strictly increasing", line=lineno
-                )
-            prev = x
+        if min(points) < 1:
+            raise malformed(f"point {min(points)} is out of range; points are 1-based", lineno)
+        if any(x >= y for x, y in zip(points, points[1:])):
+            raise malformed(f"block {points} is not strictly increasing", lineno)
         if k is None:
             k = len(points)
         elif len(points) != k:
-            raise DesignParseError(
-                f"block size {len(points)} differs from earlier size {k}", line=lineno
-            )
+            raise malformed(f"block size {len(points)} differs from earlier size {k}", lineno)
         blocks.append(points)
         block_lines.append(lineno)
 
     if not blocks:
-        raise DesignParseError("no blocks found; a design needs b >= 1", line=len(lines) or 1)
+        raise malformed("no blocks found; a design needs b >= 1", len(lines) or 1)
 
     max_point = max(max(b) for b in blocks)
     if declared is not None:
@@ -136,13 +132,9 @@ def parse_design(source, name=None):
             bad, where = next(
                 (b, ln) for b, ln in zip(blocks, block_lines) if max(b) > v_decl
             )
-            raise DesignParseError(
-                f"point {max(bad)} exceeds declared v = {v_decl}", line=where
-            )
+            raise malformed(f"point {max(bad)} exceeds declared v = {v_decl}", where)
         if k_decl != k:
-            raise DesignParseError(
-                f"declared k = {k_decl} but blocks have size {k}", line=block_lines[0]
-            )
+            raise malformed(f"declared k = {k_decl} but blocks have size {k}", block_lines[0])
         return Design(v=v_decl, blocks=tuple(blocks), k=k, name=label,
                       declared=declared)
     return Design(v=max_point, blocks=tuple(blocks), k=k, name=label)
@@ -229,16 +221,22 @@ def build_design_incidence(D, s):
     )
 
 
+def has_closed_form(D, s):
+    """Whether M_s of D has the closed-form inverse of m1_mpinv_closed_form:
+    s = 1 and D a validated design with t >= 2 and v > k (at v = k every
+    block is complete and the form degenerates)."""
+    return s == 1 and D.is_validated and D.t >= 2 and D.v > D.k
+
+
 def m1_mpinv_closed_form(D):
-    """The b x v closed-form inverse of M_1 for a validated design with t >= 2.
+    """The b x v closed-form inverse of M_1 for a validated design with
+    t >= 2 and v > k.
 
     Entry (B, u) is 1/lambda_1 when u is in B, else -(1/lambda_1)(k-1)/(v-k):
     two class values indexed by |B intersect {u}|.
     """
-    if not D.is_validated or D.t < 2:
-        raise ParameterError("closed form needs a validated design with t >= 2")
-    if D.v == D.k:
-        raise ParameterError("complete blocks (v = k) make the closed form degenerate")
+    if not has_closed_form(D, 1):
+        raise ParameterError("closed form needs a validated design with t >= 2 and v > k")
     lam1 = lambda_s(D.t, D.v, D.k, D.lam, 1)
     inc = Fraction(1) / lam1
     out = -inc * Fraction(D.k - 1, D.v - D.k)
@@ -314,17 +312,12 @@ def entry_classes(name, blocks, subsets, X):
     entries; exceptions lists (name, block index, subset, entry) for entries
     deviating from their class's modal value (ties break toward the smaller
     rational), empty when every class is constant.
+
+    The entries are grouped on the int rows of X.den * X: since X.den > 0
+    they sort as the rationals do, and one Fraction is built per distinct
+    value.
     """
-    d, rows = int_rows(X)
-    return _int_entry_classes(name, blocks, subsets, rows, d)
-
-
-def _int_entry_classes(name, blocks, subsets, rows, den):
-    """entry_classes for X = rows / den with den > 0, grouped on the ints.
-
-    Since den > 0 the ints sort as the rationals do; one Fraction is built
-    per distinct value.
-    """
+    rows = X.nums
     sizes = list(meet_sizes(blocks, subsets))
     counts = Counter()
     for row, row_sizes in zip(rows, sizes):
@@ -332,7 +325,7 @@ def _int_entry_classes(name, blocks, subsets, rows, den):
     by_class = {}
     for (i, v), k in counts.items():
         by_class.setdefault(i, {})[v] = k
-    frac = {v: Fraction(v, den) for v in {v for _, v in counts}}
+    frac = {v: Fraction(v, X.den) for v in {v for _, v in counts}}
     classes = {}
     exceptions = []
     for i, values in sorted(by_class.items()):
@@ -351,11 +344,9 @@ def _int_entry_classes(name, blocks, subsets, rows, den):
 
 def _survey_one(D, s):
     M = build_design_incidence(D, s)
-    _, A = int_rows(M)
-    X, den = oracle_rows(A, M.cols)
-    report, _, _ = penrose_products(A, X, den)
-    classes, exceptions = _int_entry_classes(D.name, D.blocks, M.row_labels, X, den)
-    return classes, report, exceptions
+    X = pseudoinverse_oracle(M)
+    classes, exceptions = entry_classes(D.name, D.blocks, M.row_labels, X)
+    return classes, penrose_check(M, X), exceptions
 
 
 def survey_designs(designs, s):

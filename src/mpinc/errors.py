@@ -26,11 +26,14 @@ class SingularError(MpincError):
 
 
 class DesignParseError(MpincError):
-    """Malformed design file; carries the offending 1-based line number."""
+    """Malformed design file; names the file and carries the offending
+    1-based line number."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, source=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -10,6 +10,7 @@ the denominator omitted when it is 1.
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParameterError
 from .linalg import IncidenceMatrix, RatMatrix
@@ -33,13 +34,15 @@ def _text_rows(M):
 
     M is a ClassMatrix, an IncidenceMatrix or a RatMatrix. A class matrix
     renders its r + 1 values once and an incidence matrix its supports as
-    "0"/"1", so neither builds a dense matrix.
+    "0"/"1", so neither builds a dense matrix. A RatMatrix renders each
+    distinct int of its scaled rows once.
     """
     if isinstance(M, ClassMatrix):
         return class_rows(M, tuple(map(str, M.values)))
     if isinstance(M, IncidenceMatrix):
         return (_indicator(support, M.cols) for support in M.row_support)
-    return (list(map(str, M.row(i))) for i in range(M.rows))
+    text = {v: str(Fraction(v, M.den)) for v in set(chain.from_iterable(M.nums))}
+    return (list(map(text.__getitem__, row)) for row in M.nums)
 
 
 def _indicator(support, cols):

@@ -1,13 +1,14 @@
 """Exact rational matrices, the pseudoinverse oracle, and Penrose checkers.
 
-Every kernel runs on Python ints. A RatMatrix is scaled once by the lcm of
-its denominators, and an IncidenceMatrix is read straight from its row
-supports; products then go through one row-sparse integer product that
-visits only nonzero entries, and elimination is fraction-free (Bareiss
-1968), so there is no rational arithmetic and no rational swell in between.
-Fractions are built only for results. The int cores (int_rows, oracle_rows,
-penrose_products, first_difference_rows) are what the CLI and the survey
-call; the RatMatrix functions are thin wrappers over them.
+A RatMatrix holds its scaled integer form: a denominator den > 0 and the
+int rows of den * A, with den the lcm of the reduced denominators of the
+entries, so equal matrices have equal fields. An IncidenceMatrix is read
+straight from its row supports. Every kernel runs on those int rows:
+products go through one row-sparse integer product that visits only
+nonzero entries, and elimination is fraction-free (Bareiss 1968), so there
+is no rational arithmetic and no rational swell in between. Fractions are
+built only by the readers (entries, row, at and to_rows) and, once per
+distinct entry, by rat_matrix_mod_p.
 
 The oracle is the full-rank factorization formula (Ben-Israel and Greville
 2003)
@@ -28,89 +29,109 @@ through the smaller of the two. Nothing here touches floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from math import lcm
+from itertools import chain, compress, repeat
+from math import gcd, lcm
 from operator import add, mul
 
 from .errors import ParameterError, ShapeError, SingularError
 from .rationals import rat_mod_p
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _as_fraction(x):
-    if type(x) is Fraction:
-        return x
-    return Fraction(x.numerator, x.denominator)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RatMatrix:
-    """Immutable row-major matrix of Fraction entries."""
+    """Immutable exact rational matrix in scaled integer form.
+
+    nums holds the rows of den * A as tuples of ints, and den > 0 is the
+    lcm of the reduced denominators of the entries that occur, so == and
+    hash compare matrices. RatMatrix(rows, cols, entries) takes row-major
+    rationals; from_ints takes int rows and a denominator.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    den: int
+    nums: tuple
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        den, flat = scaled_ints(entries)
+        self._fill(rows, cols, den, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
+
+    @classmethod
+    def from_ints(cls, rows, cols, nums, den=1):
+        """The rows x cols matrix nums / den, for int rows nums and an int
+        den != 0, brought to canonical form."""
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(nums))
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                nums = [tuple([v // g for v in row]) for row in nums]
+        M = cls.__new__(cls)
+        M._fill(rows, cols, den, nums)
+        return M
+
+    def _fill(self, rows, cols, den, nums):
+        # every constructor ends here, with den already canonical
+        if len(nums) != rows or any(map(cols.__ne__, map(len, nums))):
+            raise ShapeError(f"int rows do not form a {rows}x{cols} matrix")
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(rows=rows, cols=cols, den=den, nums=tuple(map(tuple, nums)))
 
     @classmethod
     def from_rows(cls, rows_of_entries):
         rows = len(rows_of_entries)
         cols = len(rows_of_entries[0]) if rows else 0
-        flat = []
-        for row in rows_of_entries:
-            if len(row) != cols:
-                raise ShapeError("ragged rows")
-            flat.extend(_as_fraction(x) for x in row)
-        return cls(rows, cols, tuple(flat))
+        if any(len(row) != cols for row in rows_of_entries):
+            raise ShapeError("ragged rows")
+        return cls(rows, cols, tuple(chain.from_iterable(rows_of_entries)))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return cls.from_ints(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
+        return cls.from_ints(rows, cols, [(0,) * cols] * rows)
+
+    @property
+    def entries(self):
+        """The entries as a row-major tuple of Fractions."""
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def at(self, i, j):
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i][j], self.den)
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.nums[i])
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        e = self.entries
-        c = self.cols
-        return RatMatrix(
-            c, self.rows,
-            tuple(e[i * c + j] for j in range(c) for i in range(self.rows)),
-        )
+        nums = list(zip(*self.nums)) if self.rows else [()] * self.cols
+        return RatMatrix.from_ints(self.cols, self.rows, nums, self.den)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        a, A = int_rows(self)
         b, B = int_rows(other)
-        return _rat_matrix(_matmul(A, B, other.cols), self.rows, other.cols, 1, a * b)
+        return RatMatrix.from_ints(
+            self.rows, other.cols, _matmul(self.nums, B, other.cols), self.den * b
+        )
 
     def is_identity(self):
         n = self.rows
-        if n != self.cols:
-            return False
-        e = self.entries
-        return all(e[i * (n + 1)] == 1 for i in range(n)) and sum(map(bool, e)) == n
+        return n == self.cols and self.den == 1 and all(
+            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.nums)
+        )
 
 
 @dataclass(frozen=True)
@@ -145,12 +166,7 @@ class IncidenceMatrix:
         return sums
 
     def to_rat_matrix(self):
-        flat = [_ZERO] * (self.rows * self.cols)
-        for i, support in enumerate(self.row_support):
-            base = i * self.cols
-            for j in support:
-                flat[base + j] = _ONE
-        return RatMatrix(self.rows, self.cols, tuple(flat))
+        return RatMatrix.from_ints(self.rows, self.cols, int_rows(self)[1])
 
 
 @dataclass(frozen=True)
@@ -168,11 +184,12 @@ class PenroseReport:
 
 
 # ---------------------------------------------------------------------------
-# integer core: matrices as lists of int rows
+# integer core: matrices as int rows
 
 def int_rows(M):
-    """(d, rows): rows are the int rows of d*M, with d > 0 the lcm of M's
-    denominators. An IncidenceMatrix is read from its supports, with d = 1.
+    """(d, rows): rows are the int rows of d*M, with d > 0. A RatMatrix gives
+    its own scaled form, and an IncidenceMatrix is read from its supports,
+    with d = 1.
     """
     if isinstance(M, IncidenceMatrix):
         rows = []
@@ -182,9 +199,7 @@ def int_rows(M):
                 row[j] = 1
             rows.append(row)
         return 1, rows
-    d, flat = scaled_ints(M.entries)
-    c = M.cols
-    return d, [flat[i * c : (i + 1) * c] for i in range(M.rows)]
+    return M.den, M.nums
 
 
 def scaled_ints(values):
@@ -194,18 +209,6 @@ def scaled_ints(values):
     if d == 1:
         return d, [x.numerator for x in values]
     return d, [x.numerator * (d // x.denominator) for x in values]
-
-
-def _rat_matrix(rows, nrows, ncols, num, den):
-    """The RatMatrix (num/den) * rows, building one Fraction per distinct entry."""
-    flat = [v for row in rows for v in row]
-    frac = {v: Fraction(num * v, den) for v in set(flat)}
-    return RatMatrix(nrows, ncols, tuple(map(frac.__getitem__, flat)))
-
-
-def identity_rows(k, scale=1):
-    """The int rows of scale times the k x k identity."""
-    return [[scale if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def _transpose(rows, ncols):
@@ -296,7 +299,7 @@ def _inverse(M):
     SingularError when M is singular.
     """
     k = len(M)
-    aug = [row + unit for row, unit in zip(M, identity_rows(k))]
+    aug = [[*row] + [0] * i + [1] + [0] * (k - i - 1) for i, row in enumerate(M)]
     reduced, _, pivots, d = _gauss_jordan(aug, k)
     if len(pivots) < k:
         raise SingularError("matrix is singular")
@@ -321,28 +324,6 @@ def _full_rank_inverse(a, n):
     return _matmul(adj, at, m), d
 
 
-def oracle_rows(a, n):
-    """(rows, den) with A+ = rows / den and den > 0, for the int rows a of
-    an m x n matrix A: the full-rank factorization, which reads only A.
-    """
-    m = len(a)
-    try:
-        rows, den = _full_rank_inverse(a, n)
-    except SingularError:
-        # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
-        _, order, pivots, _ = _gauss_jordan(a, n)
-        k = len(pivots)
-        if k == 0:
-            return [[0] * m for _ in range(n)], 1
-        Rt = _transpose([a[i] for i in order[:k]], n)
-        Ft = [[row[j] for row in a] for j in pivots]
-        adj, den = _inverse(_matmul(Ft, _matmul(a, Rt, k), k))
-        rows = _matmul(Rt, _matmul(adj, Ft, m), m)
-    if den < 0:
-        return [[-v for v in row] for row in rows], -den
-    return rows, den
-
-
 def _check_pair(A, X):
     if X.rows != A.cols or X.cols != A.rows:
         raise ShapeError(
@@ -351,14 +332,14 @@ def _check_pair(A, X):
         )
 
 
-def penrose_products(a, x, scale, reduce=None):
+def _penrose(a, x, scale, reduce=None):
     """(report, ax, xa): the four Penrose conditions on the int rows a
-    (m x n) and x (n x m), and the products A X and X A they read.
+    (m x n) and x (n x m), and the products a x and x a they read.
 
     A X A = A reads a x a = scale * a and X A X = X reads x a x = scale * x;
     reduce, when given, maps each product to the representatives that a
     and x are written in. Both triple products go through the smaller of
-    A X (m x m) and X A (n x n).
+    a x (m x m) and x a (n x n).
     """
     m, n = len(a), len(x)
     ax, xa = _matmul(a, x, m), _matmul(x, a, n)
@@ -379,47 +360,72 @@ def penrose_products(a, x, scale, reduce=None):
     return report, ax, xa
 
 
-def first_difference_rows(a, da, b, db):
-    """(i, j) of the first entry where a / da and b / db differ, or None;
-    a and b are int rows of one shape."""
-    for i, (arow, brow) in enumerate(zip(a, b)):
-        left = [v * db for v in arow]
-        right = [v * da for v in brow]
-        if left != right:
-            return i, next(j for j, (x, y) in enumerate(zip(left, right)) if x != y)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # public operations on RatMatrix (and IncidenceMatrix) values
 
 def pseudoinverse_oracle(A):
     """The Moore-Penrose inverse of A (a RatMatrix or IncidenceMatrix), exactly.
 
-    With a*A = Ai integral, A+ = a * Ai+, and oracle_rows gives Ai+.
+    With A = Ai / a for int rows Ai, A+ = a * Ai+. Ai+ is the full-rank
+    factorization of Ai, or its skeleton below full rank.
     """
     a, Ai = int_rows(A)
-    rows, den = oracle_rows(Ai, A.cols)
-    return _rat_matrix(rows, A.cols, A.rows, a, den)
+    m, n = A.rows, A.cols
+    try:
+        rows, den = _full_rank_inverse(Ai, n)
+    except SingularError:
+        # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
+        _, order, pivots, _ = _gauss_jordan(Ai, n)
+        k = len(pivots)
+        if k == 0:
+            return RatMatrix.zeros(n, m)
+        Rt = _transpose([Ai[i] for i in order[:k]], n)
+        Ft = [[row[j] for row in Ai] for j in pivots]
+        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
+        rows = _matmul(Rt, _matmul(adj, Ft, m), m)
+    if a != 1:
+        rows = [[a * v for v in row] for row in rows]
+    return RatMatrix.from_ints(n, m, rows, den)
 
 
-def penrose_check(A, X):
-    """Evaluate the four Penrose conditions for (A, X) with exact equality.
+def penrose_products(A, X):
+    """(report, A X, X A): the four Penrose conditions for (A, X) with
+    exact equality, and the two products they read.
 
-    With a*A = Ai and x*X = Xi integral, A X A = A reads Ai Xi Ai = a x Ai
-    and X A X = X reads Xi Ai Xi = a x Xi; symmetry is unaffected.
+    With A = Ai / a and X = Xi / x for int rows Ai and Xi, A X A = A reads
+    Ai Xi Ai = a x Ai and X A X = X reads Xi Ai Xi = a x Xi; symmetry is
+    unaffected.
     """
     _check_pair(A, X)
     a, Ai = int_rows(A)
     x, Xi = int_rows(X)
-    return penrose_products(Ai, Xi, a * x)[0]
+    report, ax, xa = _penrose(Ai, Xi, a * x)
+    return (
+        report,
+        RatMatrix.from_ints(A.rows, A.rows, ax, a * x),
+        RatMatrix.from_ints(A.cols, A.cols, xa, a * x),
+    )
+
+
+def penrose_check(A, X):
+    """Evaluate the four Penrose conditions for (A, X) with exact equality:
+    the report of penrose_products, without building the products."""
+    _check_pair(A, X)
+    a, Ai = int_rows(A)
+    x, Xi = int_rows(X)
+    return _penrose(Ai, Xi, a * x)[0]
 
 
 def rat_matrix_mod_p(A, p):
     """Entrywise reduction to GF(p); NotReducibleError if p divides a denominator."""
-    return RatMatrix(
-        A.rows, A.cols,
-        tuple(Fraction(rat_mod_p(x, p)) for x in A.entries),
+    # one residue per distinct entry, met in row-major order, so an error
+    # names the first entry that fails
+    residue = {
+        v: rat_mod_p(Fraction(v, A.den), p)
+        for v in dict.fromkeys(chain.from_iterable(A.nums))
+    }
+    return RatMatrix.from_ints(
+        A.rows, A.cols, [list(map(residue.__getitem__, row)) for row in A.nums]
     )
 
 
@@ -437,7 +443,7 @@ def penrose_check_mod_p(A, X, p):
     rat_matrix_mod_p).
     """
     _check_pair(A, X)
-    return penrose_products(
+    return _penrose(
         _residue_rows(A, p), _residue_rows(X, p), 1,
         lambda rows: [[v % p for v in row] for row in rows],
     )[0]
@@ -447,6 +453,14 @@ def first_difference(A, B):
     """(i, j) of the first entry where A and B differ, or None if equal."""
     if (A.rows, A.cols) != (B.rows, B.cols):
         raise ShapeError("shape mismatch")
+    if A == B:
+        # canonical forms: equal matrices have equal fields
+        return None
     da, a = int_rows(A)
     db, b = int_rows(B)
-    return first_difference_rows(a, da, b, db)
+    for i, (arow, brow) in enumerate(zip(a, b)):
+        left = [v * db for v in arow]
+        right = [v * da for v in brow]
+        if left != right:
+            return i, next(j for j, (x, y) in enumerate(zip(left, right)) if x != y)
+    return None

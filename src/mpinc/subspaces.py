@@ -24,7 +24,7 @@ over the field elements (ordered by their integer encoding sum c_i p^i).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import product
 from operator import add
 
 from .combinat import all_subsets, binomial, gaussian_binomial
@@ -292,17 +292,13 @@ def class_rows(cm, values):
         yield list(map(pick, sizes))
 
 
-def scaled_class_rows(cm):
-    """(d, rows): the int rows of d times the expansion of cm, with d > 0
-    the lcm of the class values' denominators."""
-    d, ints = scaled_ints(cm.values)
-    return d, list(class_rows(cm, ints))
-
-
 def expand_class_matrix(cm):
-    """Dense [n,c]_q x [n,r]_q matrix, entry (C, R) = values[dim(R intersect C)]."""
-    flat = chain.from_iterable(class_rows(cm, cm.values))
-    return RatMatrix(cm.rows, cm.cols, tuple(flat))
+    """Dense [n,c]_q x [n,r]_q matrix, entry (C, R) = values[dim(R intersect C)].
+
+    Its rows hold the class values scaled to ints, so no Fraction is built.
+    """
+    d, ints = scaled_ints(cm.values)
+    return RatMatrix.from_ints(cm.rows, cm.cols, list(class_rows(cm, ints)), d)
 
 
 # Kept for perfbench/worker.py's traced replay, which calls it by module path.

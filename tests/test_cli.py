@@ -7,14 +7,13 @@ import pytest
 
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
-from mpinc.linalg import RatMatrix, oracle_rows, rat_matrix_mod_p
+from mpinc.linalg import RatMatrix, penrose_products, pseudoinverse_oracle, rat_matrix_mod_p
 from mpinc.rationals import PRIMALITY_BOUND, rat_mod_p
 from mpinc.subspaces import (
     build_incidence,
     char_p_obstruction,
     class_matrix,
     expand_class_matrix,
-    scaled_class_rows,
 )
 
 FANO = "samples/fano/fano.blk"
@@ -214,19 +213,18 @@ def test_verify_design(capsys):
     assert doc["ok"] is True
 
 
-def add_one_at(rows, scale, i, j):
-    """The int rows of X + E_ij, for the int rows of scale * X."""
-    bumped = [row[:] for row in rows]
-    bumped[i][j] += scale
-    return bumped
+def add_one_at(X, i, j):
+    """X + E_ij."""
+    rows = X.to_rows()
+    rows[i][j] += 1
+    return RatMatrix.from_rows(rows)
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     def bumped_closed_form(cm):
-        x, rows = scaled_class_rows(cm)
-        return x, add_one_at(rows, x, 0, 0)
+        return add_one_at(expand_class_matrix(cm), 0, 0)
 
-    monkeypatch.setattr("mpinc.cli.scaled_class_rows", bumped_closed_form)
+    monkeypatch.setattr("mpinc.cli.expand_class_matrix", bumped_closed_form)
     code, out, err = run(capsys, ["verify", "set", "--n", "4", "--r", "1", "--c", "2"])
     assert (code, out, err) == (1, "", "cond1 fails for the closed-form inverse\n")
 
@@ -234,23 +232,32 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
     # the closed form passes all four conditions, so only the comparison
     # with the (here perturbed) oracle can fail; entry (1, 2) is 1/3
-    def bumped_oracle(a, n):
-        rows, den = oracle_rows(a, n)
-        return add_one_at(rows, den, 1, 2), den
+    def bumped_oracle(A):
+        return add_one_at(pseudoinverse_oracle(A), 1, 2)
 
-    monkeypatch.setattr("mpinc.cli.oracle_rows", bumped_oracle)
+    monkeypatch.setattr("mpinc.cli.pseudoinverse_oracle", bumped_oracle)
     code, out, err = run(capsys, ["verify", "set", "--n", "4", "--r", "1", "--c", "2"])
     assert (code, out, err) == (
         1, "", "closed form differs from oracle at entry (1, 2): 1/3 vs 4/3\n"
     )
 
 
-def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
-    def bumped_oracle(a, n):
-        rows, den = oracle_rows(a, n)
-        return add_one_at(rows, den, 0, 0), den
+def test_verify_regime_identity_failure_exits_1(capsys, monkeypatch):
+    # n = r + c: both identities are read off the Penrose products
+    def bumped_products(A, X):
+        report, AX, XA = penrose_products(A, X)
+        return report, AX, add_one_at(XA, 0, 1)
 
-    monkeypatch.setattr("mpinc.cli.oracle_rows", bumped_oracle)
+    monkeypatch.setattr("mpinc.cli.penrose_products", bumped_products)
+    code, out, err = run(capsys, ["verify", "set", "--n", "3", "--r", "1", "--c", "2"])
+    assert (code, out, err) == (1, "", "regime identity M*M=I fails\n")
+
+
+def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
+    def bumped_oracle(A):
+        return add_one_at(pseudoinverse_oracle(A), 0, 0)
+
+    monkeypatch.setattr("mpinc.cli.pseudoinverse_oracle", bumped_oracle)
     code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
     assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
 
@@ -283,6 +290,23 @@ def test_survey_bad_file_names_the_file(capsys, tmp_path):
     code, _, err = run(capsys, ["survey", "--dir", str(d), "--s", "1"])
     assert code == 2
     assert "bad.blk" in err
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ("2 1\n", "line 1: block (2, 1) is not strictly increasing"),
+    ("0 1 2\n", "line 1: point 0 is out of range; points are 1-based"),
+    ("1 2 3\n-4 5 6\n", "line 2: point -4 is out of range; points are 1-based"),
+    ("1 2 3\n4 5 6\xe9\n", "line 2: byte 0xe9 is not ASCII"),
+], ids=["not-increasing", "zero", "negative", "not-ascii"])
+def test_malformed_design_names_the_file_once(capsys, tmp_path, blocks, message):
+    d = tmp_path / "designs"
+    d.mkdir()
+    (d / "bad.blk").write_bytes(blocks.encode("latin-1"))
+    expected = (2, "", f"mpinc: bad.blk: {message}\n")
+    design = ["--file", str(d / "bad.blk"), "--s", "1"]
+    for command in ("build", "mpinv", "verify"):
+        assert run(capsys, [command, "design", *design]) == expected
+    assert run(capsys, ["survey", "--dir", str(d), "--s", "1"]) == expected
 
 
 def test_survey_names_a_non_design_once(capsys, tmp_path):

@@ -22,7 +22,6 @@ from mpinc.errors import DesignParseError, ParameterError
 from mpinc.linalg import (
     RatMatrix,
     _full_rank_inverse,
-    int_rows,
     penrose_check,
     pseudoinverse_oracle,
 )
@@ -290,8 +289,7 @@ def test_survey_one_with_negative_pivot_and_modal_tie():
     D = Design(v=5, blocks=((1, 2, 3), (1, 4, 5), (1, 2, 4), (1, 2, 5), (2, 3, 4)),
                k=3, name="tie")
     M = build_design_incidence(D, 1)
-    _, a = int_rows(M)
-    assert _full_rank_inverse(a, M.cols)[1] < 0
+    assert _full_rank_inverse(M.to_rat_matrix().nums, M.cols)[1] < 0
     classes, report, exceptions = _survey_one(D, 1)
     X = pseudoinverse_oracle(M.to_rat_matrix())
     assert (classes, exceptions) == entry_classes(D.name, D.blocks, M.row_labels, X)

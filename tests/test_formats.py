@@ -249,7 +249,7 @@ def test_write_json_is_json_dumps(shape, row_labels, col_labels):
     assert write_json(X, **labels) == _json_reference(X, rows, **labels)
 
 
-def _no_rat_matrix(self):
+def _no_rat_matrix(self, *fields):
     raise AssertionError("a RatMatrix was built")
 
 
@@ -265,7 +265,7 @@ def _no_rat_matrix(self):
     "mpinv subspace --n 3 --q 2 --r 1 --c 2 --expand --format csv --mod 5",
 ])
 def test_mpinv_expand_builds_no_rat_matrix(monkeypatch, capsys, argv):
-    monkeypatch.setattr(RatMatrix, "__post_init__", _no_rat_matrix)
+    monkeypatch.setattr(RatMatrix, "_fill", _no_rat_matrix)
     with pytest.raises(AssertionError, match="a RatMatrix was built"):
         expand_class_matrix(class_matrix(3, 1, 1, 2))
     assert main(argv.split()) == 0

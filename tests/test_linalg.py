@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpinc.linalg
-from mpinc.errors import ParameterError, ShapeError
+from mpinc.errors import NotReducibleError, ParameterError, ShapeError
+from mpinc.formats import parse_csv, write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
     RatMatrix,
@@ -17,6 +19,8 @@ from mpinc.linalg import (
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
+from mpinc.rationals import rat_mod_p
+from mpinc.subspaces import class_matrix, expand_class_matrix, intersection_dim, labels
 from reference import rref_rational, skeleton_pseudoinverse
 
 
@@ -75,6 +79,17 @@ def test_rref_back_substitution():
     R, rank, _ = rref_rational(M([[1, 1], [0, 1]]))
     assert R == RatMatrix.identity(2)
     assert rank == 2
+
+
+def test_is_identity():
+    assert RatMatrix.identity(3).is_identity()
+    assert RatMatrix.identity(0).is_identity()
+    assert (M([[2, 0], [0, 2]]) @ M([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])).is_identity()
+    assert not M([[2, 0], [0, 2]]).is_identity()
+    assert not M([[Fraction(1, 2), 0], [0, 1]]).is_identity()
+    assert not M([[1, 0], [1, 1]]).is_identity()
+    assert not M([[0, 1], [1, 0]]).is_identity()
+    assert not M([[1, 0]]).is_identity()
 
 
 def test_oracle_identity():
@@ -343,3 +358,103 @@ def test_linalg_imports_no_family_module():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert not imported & {"subsets", "subspaces", "designs"}
+
+
+# ---------------------------------------------------------------------------
+# canonical form: however a RatMatrix is made, it is the one its entries give
+
+def assert_canonical(X, rows):
+    """X holds the Fraction rows `rows` in canonical form: den is the lcm of
+    their reduced denominators, nums is den times each entry, and X equals,
+    and hashes like, the matrix the constructor builds from the Fractions."""
+    flat = [Fraction(x) for row in rows for x in row]
+    assert (X.rows, len(X.nums)) == (len(rows), len(rows))
+    assert X.den == lcm(*(x.denominator for x in flat))
+    assert X.nums == tuple(tuple(int(x * X.den) for x in row) for row in rows)
+    assert all(type(v) is int for row in X.nums for v in row)
+    assert X.to_rows() == [list(map(Fraction, row)) for row in rows]
+    reference = RatMatrix(X.rows, X.cols, flat)
+    assert X == reference and hash(X) == hash(reference)
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def fraction_rows(draw, rows=st.integers(0, 4), cols=st.integers(0, 4)):
+    """(cols, rows): a rows x cols list of Fraction rows."""
+    m, n = draw(rows), draw(cols)
+    return n, draw(st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+def rat(cols, rows):
+    return RatMatrix(len(rows), cols, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_rows())
+def test_constructor_is_canonical(shape):
+    cols, rows = shape
+    A = rat(cols, rows)
+    assert A.cols == cols
+    assert_canonical(A, rows)
+    if rows:
+        assert_canonical(RatMatrix.from_rows(rows), rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fraction_rows(), st.integers(0, 4), st.data())
+def test_product_and_transpose_are_canonical(shape, width, data):
+    inner, rows = shape
+    A = rat(inner, rows)
+    other = data.draw(st.lists(st.lists(fractions, min_size=width, max_size=width),
+                               min_size=inner, max_size=inner))
+    B = rat(width, other)
+    product = [[sum((row[k] * other[k][j] for k in range(inner)), Fraction(0))
+                for j in range(width)] for row in rows]
+    assert_canonical(A @ B, product)
+    assert_canonical(A.transpose(), [list(col) for col in zip(*rows)] if rows else [[]] * inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_rows(rows=st.integers(1, 4), cols=st.integers(1, 4)))
+def test_oracle_is_canonical(shape):
+    cols, rows = shape
+    A = rat(cols, rows)
+    assert_canonical(pseudoinverse_oracle(A), skeleton_pseudoinverse(A).to_rows())
+
+
+def meet_dim(q, R, C):
+    return len(set(R) & set(C)) if q == 1 else intersection_dim(R, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2)), st.integers(0, 5), st.data())
+def test_expand_class_matrix_is_canonical(q, n, data):
+    # n < r + c included: classes i < r + c - n never occur, so den may be
+    # below the lcm of all r + 1 class values' denominators
+    n = min(n, 4) if q == 2 else n
+    r = data.draw(st.integers(0, n))
+    c = data.draw(st.integers(r, n))
+    cm = class_matrix(n, q, r, c)
+    rows = [[cm.values[meet_dim(q, R, C)] for R in labels(n, q, r)] for C in labels(n, q, c)]
+    assert_canonical(expand_class_matrix(cm), rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_rows(), st.sampled_from((2, 3, 5, 7)))
+def test_reduction_mod_p_is_canonical(shape, p):
+    cols, rows = shape
+    A = rat(cols, rows)
+    if any(x.denominator % p == 0 for row in rows for x in row):
+        with pytest.raises(NotReducibleError):
+            rat_matrix_mod_p(A, p)
+        return
+    assert_canonical(rat_matrix_mod_p(A, p), [[rat_mod_p(x, p) for x in row] for row in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_rows(rows=st.integers(1, 4), cols=st.integers(1, 4)))
+def test_csv_round_trip_is_canonical(shape):
+    cols, rows = shape
+    assert_canonical(parse_csv(write_csv(rat(cols, rows))), rows)

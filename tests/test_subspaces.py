@@ -190,6 +190,19 @@ def test_class_rows_place_any_stand_ins(n, q, r, c):
     assert rows == expand_class_matrix(cm).to_rows()
 
 
+@pytest.mark.parametrize("q, n_max", [(1, 7), (2, 4)])
+def test_class_rows_cover_exactly_the_classes_that_occur(q, n_max):
+    # an r-space and a c-space of an n-space meet in dimension at least
+    # r + c - n, and every dimension from there up to r occurs; so for
+    # n < r + c the classes below r + c - n never occur in the matrix
+    for n in range(n_max + 1):
+        for r in range(n + 1):
+            for c in range(r, n + 1):
+                rows = class_rows(class_matrix(n, q, r, c), range(r + 1))
+                occurring = {i for row in rows for i in row}
+                assert occurring == set(range(max(0, r + c - n), r + 1)), (n, q, r, c)
+
+
 def test_intersection_dim_rejects_other_ambient_space():
     with pytest.raises(ShapeError):
         intersection_dim(enumerate_subspaces(2, 2, 1)[0], enumerate_subspaces(3, 2, 1)[0])
