@@ -188,7 +188,7 @@ def _cmd_verify(args):
     if args.kind == "design":
         return _cmd_verify_design(args)
     n, q, r, c = args.n, args.q, args.r, args.c
-    M = build_incidence(n, q, r, c)
+    M = build_incidence(n, q, r, c).to_rat_matrix()
     # a set report (q = 1) carries no field order
     params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
 
@@ -223,7 +223,7 @@ def _cmd_verify(args):
 
 def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
-    M = build_design_incidence(D, args.s)
+    M = build_design_incidence(D, args.s).to_rat_matrix()
     X = pseudoinverse_oracle(M)
     report = penrose_check(M, X)
     failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")

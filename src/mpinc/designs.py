@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .combinat import all_subsets, binomial
 from .errors import DesignParseError, ParameterError
-from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_oracle
+from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_oracle, scaled_ints
 from .subspaces import inclusion_support, meet_sizes
 
 
@@ -237,18 +237,16 @@ def m1_mpinv_closed_form(D):
     """
     if not has_closed_form(D, 1):
         raise ParameterError("closed form needs a validated design with t >= 2 and v > k")
-    lam1 = lambda_s(D.t, D.v, D.k, D.lam, 1)
-    inc = Fraction(1) / lam1
-    out = -inc * Fraction(D.k - 1, D.v - D.k)
-    flat = []
-    for sizes in meet_sizes(D.blocks, all_subsets(D.v, 1)):
-        flat.extend(map((out, inc).__getitem__, sizes))
-    return RatMatrix(D.b, D.v, tuple(flat))
+    inc = 1 / lambda_s(D.t, D.v, D.k, D.lam, 1)
+    d, values = scaled_ints((-inc * Fraction(D.k - 1, D.v - D.k), inc))
+    rows = [list(map(values.__getitem__, sizes))
+            for sizes in meet_sizes(D.blocks, all_subsets(D.v, 1))]
+    return RatMatrix.from_ints(D.b, D.v, rows, d)
 
 
 def ms_mpinv_oracle(D, s):
     """The b x C(v,s) Moore-Penrose inverse of M_s via the exact oracle."""
-    return pseudoinverse_oracle(build_design_incidence(D, s))
+    return pseudoinverse_oracle(build_design_incidence(D, s).to_rat_matrix())
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,10 @@ def entry_classes(name, blocks, subsets, X):
 
 def _survey_one(D, s):
     M = build_design_incidence(D, s)
-    X = pseudoinverse_oracle(M)
+    A = M.to_rat_matrix()
+    X = pseudoinverse_oracle(A)
     classes, exceptions = entry_classes(D.name, D.blocks, M.row_labels, X)
-    return classes, penrose_check(M, X), exceptions
+    return classes, penrose_check(A, X), exceptions
 
 
 def survey_designs(designs, s):

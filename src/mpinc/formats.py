@@ -90,19 +90,27 @@ def write_json(M, row_labels=None, col_labels=None):
 
 def parse_json(text):
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ParameterError(f"JSON matrix must be an object, got {type(doc).__name__}")
     for key in ("rows", "cols", "entries"):
         if key not in doc:
             raise ParameterError(f"JSON matrix is missing {key!r}")
-    entries = doc["entries"]
-    if len(entries) != doc["rows"]:
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    for key, size in (("rows", rows), ("cols", cols)):
+        # bool is an int subclass, so the type is compared exactly
+        if type(size) is not int or size < 0:
+            raise ParameterError(f"JSON matrix {key!r} must be a non-negative int, got {size!r}")
+    if not isinstance(entries, list) or len(entries) != rows:
         raise ParameterError("JSON matrix row count mismatch")
-    rows = []
-    for row in entries:
-        if len(row) != doc["cols"]:
+    flat = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != cols:
             raise ParameterError("JSON matrix column count mismatch")
-        rows.append([parse_rational(x) for x in row])
-    flat = tuple(x for row in rows for x in row)
-    return RatMatrix(doc["rows"], doc["cols"], flat)
+        for j, x in enumerate(row):
+            if not isinstance(x, str):
+                raise ParameterError(f"JSON matrix entry ({i},{j}) = {x!r} is not a string")
+            flat.append(parse_rational(x))
+    return RatMatrix(rows, cols, tuple(flat))
 
 
 def write_mtx(M):
@@ -121,16 +129,15 @@ def write_mtx(M):
 
 
 def _pattern_support(M):
-    # the row supports of a class or rational 0/1 matrix, refusing at the
-    # first entry that is neither
-    rows = class_rows(M, M.values) if isinstance(M, ClassMatrix) else map(M.row, range(M.rows))
+    # the row supports of a class or rational 0/1 matrix, read from its
+    # text rows and refusing at the first entry that is neither
     support = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_text_rows(M)):
         cols = []
         for j, x in enumerate(row):
-            if x == 1:
+            if x == "1":
                 cols.append(j)
-            elif x != 0:
+            elif x != "0":
                 raise ParameterError(
                     "Matrix Market pattern output needs a 0/1 matrix; "
                     f"entry ({i},{j}) = {x}"
@@ -151,8 +158,7 @@ def parse_mtx(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ParameterError("missing MatrixMarket header")
-    header = lines[0].split()
-    if header[1:4] != ["matrix", "coordinate", "pattern"]:
+    if lines[0].split() != ["%%MatrixMarket", "matrix", "coordinate", "pattern", "general"]:
         raise ParameterError(f"unsupported MatrixMarket flavor: {lines[0]!r}")
     body = [ln for ln in lines[1:] if not ln.startswith("%")]
     if not body:

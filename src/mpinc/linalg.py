@@ -2,13 +2,14 @@
 
 A RatMatrix holds its scaled integer form: a denominator den > 0 and the
 int rows of den * A, with den the lcm of the reduced denominators of the
-entries, so equal matrices have equal fields. An IncidenceMatrix is read
-straight from its row supports. Every kernel runs on those int rows:
-products go through one row-sparse integer product that visits only
-nonzero entries, and elimination is fraction-free (Bareiss 1968), so there
-is no rational arithmetic and no rational swell in between. Fractions are
-built only by the readers (entries, row, at and to_rows) and, once per
-distinct entry, by rat_matrix_mod_p.
+entries, so equal matrices have equal fields. The commands call an
+IncidenceMatrix's to_rat_matrix once and pass that one matrix to both the
+oracle and the certificate. Every kernel runs on the int rows of a
+RatMatrix: products go through one row-sparse integer product that visits
+only nonzero entries, and elimination is fraction-free (Bareiss 1968), so
+there is no rational arithmetic and no rational swell in between.
+Fractions are built only by the readers (entries, row, at and to_rows)
+and, once per distinct entry, by rat_matrix_mod_p.
 
 The oracle is the full-rank factorization formula (Ben-Israel and Greville
 2003)
@@ -122,9 +123,9 @@ class RatMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        b, B = int_rows(other)
         return RatMatrix.from_ints(
-            self.rows, other.cols, _matmul(self.nums, B, other.cols), self.den * b
+            self.rows, other.cols, _matmul(self.nums, other.nums, other.cols),
+            self.den * other.den,
         )
 
     def is_identity(self):
@@ -166,7 +167,14 @@ class IncidenceMatrix:
         return sums
 
     def to_rat_matrix(self):
-        return RatMatrix.from_ints(self.rows, self.cols, int_rows(self)[1])
+        """The dense RatMatrix: den 1 and the indicator rows of the supports."""
+        rows = []
+        for support in self.row_support:
+            row = [0] * self.cols
+            for j in support:
+                row[j] = 1
+            rows.append(row)
+        return RatMatrix.from_ints(self.rows, self.cols, rows)
 
 
 @dataclass(frozen=True)
@@ -185,22 +193,6 @@ class PenroseReport:
 
 # ---------------------------------------------------------------------------
 # integer core: matrices as int rows
-
-def int_rows(M):
-    """(d, rows): rows are the int rows of d*M, with d > 0. A RatMatrix gives
-    its own scaled form, and an IncidenceMatrix is read from its supports,
-    with d = 1.
-    """
-    if isinstance(M, IncidenceMatrix):
-        rows = []
-        for support in M.row_support:
-            row = [0] * M.cols
-            for j in support:
-                row[j] = 1
-            rows.append(row)
-        return 1, rows
-    return M.den, M.nums
-
 
 def scaled_ints(values):
     """(d, ints): ints is the list d*values, with d > 0 the lcm of the
@@ -361,15 +353,15 @@ def _penrose(a, x, scale, reduce=None):
 
 
 # ---------------------------------------------------------------------------
-# public operations on RatMatrix (and IncidenceMatrix) values
+# public operations on RatMatrix values
 
 def pseudoinverse_oracle(A):
-    """The Moore-Penrose inverse of A (a RatMatrix or IncidenceMatrix), exactly.
+    """The Moore-Penrose inverse of the RatMatrix A, exactly.
 
     With A = Ai / a for int rows Ai, A+ = a * Ai+. Ai+ is the full-rank
     factorization of Ai, or its skeleton below full rank.
     """
-    a, Ai = int_rows(A)
+    a, Ai = A.den, A.nums
     m, n = A.rows, A.cols
     try:
         rows, den = _full_rank_inverse(Ai, n)
@@ -397,13 +389,12 @@ def penrose_products(A, X):
     unaffected.
     """
     _check_pair(A, X)
-    a, Ai = int_rows(A)
-    x, Xi = int_rows(X)
-    report, ax, xa = _penrose(Ai, Xi, a * x)
+    scale = A.den * X.den
+    report, ax, xa = _penrose(A.nums, X.nums, scale)
     return (
         report,
-        RatMatrix.from_ints(A.rows, A.rows, ax, a * x),
-        RatMatrix.from_ints(A.cols, A.cols, xa, a * x),
+        RatMatrix.from_ints(A.rows, A.rows, ax, scale),
+        RatMatrix.from_ints(A.cols, A.cols, xa, scale),
     )
 
 
@@ -411,9 +402,7 @@ def penrose_check(A, X):
     """Evaluate the four Penrose conditions for (A, X) with exact equality:
     the report of penrose_products, without building the products."""
     _check_pair(A, X)
-    a, Ai = int_rows(A)
-    x, Xi = int_rows(X)
-    return _penrose(Ai, Xi, a * x)[0]
+    return _penrose(A.nums, X.nums, A.den * X.den)[0]
 
 
 def rat_matrix_mod_p(A, p):
@@ -430,10 +419,9 @@ def rat_matrix_mod_p(A, p):
 
 
 def _residue_rows(A, p):
-    d, rows = int_rows(A)
-    if d != 1:
+    if A.den != 1:
         raise ParameterError("mod-p Penrose check needs integer entries; reduce first")
-    return [[v % p for v in row] for row in rows]
+    return [[v % p for v in row] for row in A.nums]
 
 
 def penrose_check_mod_p(A, X, p):
@@ -456,9 +444,8 @@ def first_difference(A, B):
     if A == B:
         # canonical forms: equal matrices have equal fields
         return None
-    da, a = int_rows(A)
-    db, b = int_rows(B)
-    for i, (arow, brow) in enumerate(zip(a, b)):
+    da, db = A.den, B.den
+    for i, (arow, brow) in enumerate(zip(A.nums, B.nums)):
         left = [v * db for v in arow]
         right = [v * da for v in brow]
         if left != right:

@@ -7,7 +7,13 @@ import pytest
 
 from mpinc.cli import main
 from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
-from mpinc.linalg import RatMatrix, penrose_products, pseudoinverse_oracle, rat_matrix_mod_p
+from mpinc.linalg import (
+    IncidenceMatrix,
+    RatMatrix,
+    penrose_products,
+    pseudoinverse_oracle,
+    rat_matrix_mod_p,
+)
 from mpinc.rationals import PRIMALITY_BOUND, rat_mod_p
 from mpinc.subspaces import (
     build_incidence,
@@ -291,6 +297,31 @@ def test_survey_bad_file_names_the_file(capsys, tmp_path):
     assert code == 2
     assert "bad.blk" in err
 
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "set", "--n", "5", "--r", "1", "--c", "2"],
+    ["verify", "subspace", "--n", "3", "--q", "2", "--r", "1", "--c", "2"],
+    ["verify", "design", "--file", FANO, "--s", "1"],
+    ["survey", "--dir", "samples/fano", "--s", "1"],
+], ids=["verify-set", "verify-subspace", "verify-design", "survey"])
+def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
+    # the oracle and the Penrose certificate share one dense RatMatrix
+    built, densified = [], []
+    init, to_rat_matrix = IncidenceMatrix.__init__, IncidenceMatrix.to_rat_matrix
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counting_to_rat_matrix(self):
+        densified.append(self)
+        return to_rat_matrix(self)
+
+    monkeypatch.setattr(IncidenceMatrix, "__init__", counting_init)
+    monkeypatch.setattr(IncidenceMatrix, "to_rat_matrix", counting_to_rat_matrix)
+    assert run(capsys, argv)[0] == 0
+    assert built
+    assert list(map(id, densified)) == list(map(id, built))
 
 @pytest.mark.parametrize("blocks, message", [
     ("2 1\n", "line 1: block (2, 1) is not strictly increasing"),

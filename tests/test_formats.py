@@ -90,6 +90,22 @@ def test_json_shape_mismatch_rejected():
         parse_json('{"rows": 2, "cols": 2, "entries": [["1"]]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "must be an object, got int"),
+    ('[["1"]]', "must be an object, got list"),
+    ('{"rows": true, "cols": 0, "entries": []}', "'rows' must be a non-negative int, got True"),
+    ('{"rows": 0, "cols": -1, "entries": []}', "'cols' must be a non-negative int, got -1"),
+    ('{"rows": 1.0, "cols": 1, "entries": [["1"]]}', "'rows' must be a non-negative int, got 1.0"),
+    ('{"rows": 1, "cols": 2, "entries": [[1, 2]]}', r"entry \(0,0\) = 1 is not a string"),
+    ('{"rows": 1, "cols": 1, "entries": [[null]]}', r"entry \(0,0\) = None is not a string"),
+    ('{"rows": 1, "cols": 1, "entries": 5}', "row count mismatch"),
+], ids=["number", "array", "bool-rows", "negative-cols", "float-rows", "int-entries",
+        "null-entry", "entries-not-list"])
+def test_json_rejects_malformed_document(text, message):
+    with pytest.raises(ParameterError, match=message):
+        parse_json(text)
+
+
 def test_mtx_round_trip_set_incidence():
     inc = build_incidence(3, 1, 1, 2)
     text = write_mtx(inc.to_rat_matrix())
@@ -118,11 +134,19 @@ def test_mtx_entries_one_based_and_sorted():
 def test_mtx_rejects_non_01_matrix():
     with pytest.raises(ParameterError):
         write_mtx(SAMPLE)
+    # the refusal names the first entry that is neither 0 nor 1
+    with pytest.raises(ParameterError, match=r"entry \(1,0\) = -1/2$"):
+        write_mtx(RatMatrix.from_rows([[1, 0], [Fraction(-1, 2), 3]]))
 
 
 def test_mtx_parse_rejects_bad_header():
     with pytest.raises(ParameterError):
         parse_mtx("%%MatrixMarket matrix array real general\n1 1\n1\n")
+    # only "general" is read: a symmetric header would drop the mirrored entries
+    for symmetry in ("symmetric", "skew-symmetric", "hermitian", "", "general extra"):
+        header = f"%%MatrixMarket matrix coordinate pattern {symmetry}".rstrip()
+        with pytest.raises(ParameterError, match="unsupported MatrixMarket flavor"):
+            parse_mtx(header + "\n2 2 1\n2 1\n")
 
 
 def test_mtx_parse_rejects_wrong_count():

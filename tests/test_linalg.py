@@ -297,7 +297,7 @@ def test_oracle_equals_skeleton_reference(kind_and_matrix):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
-def test_incidence_matrix_reads_like_its_dense_form(m, n, data):
+def test_incidence_matrix_densifies_to_its_indicator_rows(m, n, data):
     flags = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
                                min_size=m, max_size=m))
     inc = IncidenceMatrix(
@@ -305,12 +305,8 @@ def test_incidence_matrix_reads_like_its_dense_form(m, n, data):
         row_support=tuple(tuple(j for j, bit in enumerate(row) if bit) for row in flags),
     )
     A = inc.to_rat_matrix()
-    X = pseudoinverse_oracle(A)
-    assert pseudoinverse_oracle(inc) == X
-    assert penrose_check(inc, X) == penrose_check(A, X)
-    other = M([[Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 3)))
-                for _ in range(m)] for _ in range(n)]) if m and n else X
-    assert penrose_check(inc, other) == penrose_check(A, other)
+    assert (A.rows, A.cols, A.den) == (m, n, 1)
+    assert A.nums == tuple(tuple(map(int, row)) for row in flags)
 
 
 @settings(max_examples=80, deadline=None)
