@@ -30,7 +30,7 @@ from .gf import factor_prime_power, render_element
 from .linalg import (
     first_difference,
     penrose_check,
-    penrose_products,
+    penrose_identities,
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
@@ -121,6 +121,7 @@ def _cmd_mpinv(args):
     mod = args.mod
     if mod is not None and not is_prime(mod):
         raise MpincError(f"--mod {mod} is not a prime")
+    row_labels = col_labels = None
     if args.kind == "design":
         D = _load_design(args.file, args.t)
         if has_closed_form(D, args.s):
@@ -129,7 +130,8 @@ def _cmd_mpinv(args):
             X = ms_mpinv_oracle(D, args.s)
         if mod is not None:
             X = rat_matrix_mod_p(X, mod)
-        row_labels, col_labels = D.blocks, all_subsets(D.v, args.s)
+        if args.with_labels:
+            row_labels, col_labels = D.blocks, all_subsets(D.v, args.s)
     else:
         n, q, r, c = args.n, args.q, args.r, args.c
         cm = class_matrix(n, q, r, c)
@@ -150,7 +152,8 @@ def _cmd_mpinv(args):
             return EXIT_OK
         # the writers render the class values straight into the rows
         X = cm
-        row_labels, col_labels = labels(n, q, c), labels(n, q, r)
+        if args.with_labels:
+            row_labels, col_labels = labels(n, q, c), labels(n, q, r)
 
     _emit_matrix(X, args, row_labels=row_labels, col_labels=col_labels)
     return EXIT_OK
@@ -161,11 +164,11 @@ def _verify_failure(message):
     return EXIT_VERIFY
 
 
-def _penrose_failure(report, inverse):
+def _penrose_failure(conditions, inverse):
     """Print the first Penrose condition that fails and return EXIT_VERIFY,
-    or None when all four hold.
+    or None when all four hold; conditions is asdict of the report.
     """
-    for name, holds in asdict(report).items():
+    for name, holds in conditions.items():
         if not holds:
             return _verify_failure(f"{name} fails for {inverse}")
     return None
@@ -193,17 +196,18 @@ def _cmd_verify(args):
     params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
 
     X = expand_class_matrix(class_matrix(n, q, r, c))
-    report, MX, XM = penrose_products(M, X)
-    failure = _penrose_failure(report, "the closed-form inverse")
+    report, mx_is_identity, xm_is_identity = penrose_identities(M, X)
+    conditions = asdict(report)
+    failure = _penrose_failure(conditions, "the closed-form inverse")
     if failure is None:
         failure = _oracle_mismatch(X, pseudoinverse_oracle(M))
     if failure is not None:
         return failure
     identities = {}
     if n >= r + c:
-        identities["MM*=I"] = MX.is_identity()
+        identities["MM*=I"] = mx_is_identity
     if n <= r + c:
-        identities["M*M=I"] = XM.is_identity()
+        identities["M*M=I"] = xm_is_identity
     for name, ok in identities.items():
         if not ok:
             return _verify_failure(f"regime identity {name} fails")
@@ -211,7 +215,7 @@ def _cmd_verify(args):
     doc = {
         "kind": args.kind,
         **params,
-        "penrose": asdict(report),
+        "penrose": conditions,
         "matches_oracle": True,
         "regime": regime,
         "regime_identities_hold": True,
@@ -225,8 +229,8 @@ def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
     M = build_design_incidence(D, args.s).to_rat_matrix()
     X = pseudoinverse_oracle(M)
-    report = penrose_check(M, X)
-    failure = _penrose_failure(report, f"the oracle inverse of M_{args.s}")
+    conditions = asdict(penrose_check(M, X))
+    failure = _penrose_failure(conditions, f"the oracle inverse of M_{args.s}")
     if failure is not None:
         return failure
     closed_matches = None
@@ -243,7 +247,7 @@ def _cmd_verify_design(args):
         "k": D.k,
         "lambda": D.lam,
         "s": args.s,
-        "penrose": asdict(report),
+        "penrose": conditions,
         "closed_form_matches_oracle": closed_matches,
         "ok": True,
     }
@@ -340,9 +344,10 @@ def build_parser():
     p_design.add_argument("--file", required=True, help="design file")
     p_design.add_argument("--s", type=int, required=True, help="subset size")
     p_design.add_argument("--t", type=int, help="design strength when the file has no header")
-    for pk in (*family, p_design):
+    for pk in family:
         pk.add_argument("--expand", action="store_true",
                         help="emit the full matrix instead of class values")
+    for pk in (*family, p_design):
         pk.add_argument("--mod", type=int, metavar="P",
                         help="reduce entries to GF(P); exits 3 when inadmissible")
         _add_output_options(pk)

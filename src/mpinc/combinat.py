@@ -12,9 +12,6 @@ from itertools import combinations
 
 from .errors import ParameterError
 
-# Coefficient sequence, index = degree. int_polynomial() canonicalizes.
-IntPolynomial = tuple
-
 
 def binomial(n, m):
     """C(n, m) for 0 <= m <= n, else 0."""

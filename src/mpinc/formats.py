@@ -89,7 +89,10 @@ def write_json(M, row_labels=None, col_labels=None):
 
 
 def parse_json(text):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"JSON matrix is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"JSON matrix must be an object, got {type(doc).__name__}")
     for key in ("rows", "cols", "entries"):

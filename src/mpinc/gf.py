@@ -36,28 +36,17 @@ def factor_prime_power(q):
     raise InvalidFieldError(f"{q} is not a prime power")
 
 
-def _poly_divmod(num, den, p):
-    # num, den: little-endian coefficient lists over GF(p), den monic-normalizable
+def _poly_rem(num, den, p):
+    """num mod den over GF(p), for little-endian coefficient lists and a
+    monic den; the remainder keeps len(den) - 1 coefficients."""
     num = list(num)
     dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - dd, 0)
     for i in range(len(num) - 1, dd - 1, -1):
-        coef = num[i] * inv_lead % p
+        coef = num[i]
         if coef:
-            quot[i - dd] = coef
             for j, d in enumerate(den):
                 num[i - dd + j] = (num[i - dd + j] - coef * d) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _is_zero_poly(c):
-    return all(x == 0 for x in c)
+    return num[:dd]
 
 
 def _irreducible(poly, p):
@@ -66,9 +55,7 @@ def _irreducible(poly, p):
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for tail in product(range(p), repeat=d):
-            den = list(tail) + [1]
-            _, rem = _poly_divmod(poly, den, p)
-            if _is_zero_poly(rem):
+            if not any(_poly_rem(poly, tail + (1,), p)):
                 return False
     return True
 
@@ -126,9 +113,7 @@ class FieldSpec:
                     raw[i + j] = (raw[i + j] + x * y) % p
         if e == 1:
             return (raw[0] % p,)
-        _, rem = _poly_divmod(raw, list(self.modulus), p)
-        rem = rem + [0] * (e - len(rem))
-        return tuple(rem[:e])
+        return tuple(_poly_rem(raw, self.modulus, p))
 
     def __eq__(self, other):
         return (

@@ -24,8 +24,9 @@ A A^T and a tall one through the n x n Gram A^T A. Below full rank it is
 the skeleton: with I the pivot rows and J the pivot columns of A,
 F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
 
-The Penrose certificate forms both A X and X A and reaches A X A and X A X
-through the smaller of the two. Nothing here touches floating point.
+The Penrose certificate forms both A X and X A, reaches A X A and X A X
+through the smaller of the two, and reads off those int rows whether A X
+and X A are identities. Nothing here touches floating point.
 """
 
 from dataclasses import dataclass
@@ -129,10 +130,7 @@ class RatMatrix:
         )
 
     def is_identity(self):
-        n = self.rows
-        return n == self.cols and self.den == 1 and all(
-            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.nums)
-        )
+        return self.rows == self.cols and _is_scaled_identity(self.nums, self.den)
 
 
 @dataclass(frozen=True)
@@ -242,6 +240,12 @@ def _matmul(a, b, ncols):
 
 def _is_symmetric(rows):
     return _transpose(rows, len(rows)) == rows
+
+
+def _is_scaled_identity(rows, scale):
+    """Whether the square int rows equal scale * I."""
+    n = len(rows)
+    return all(row[i] == scale and row.count(0) == n - 1 for i, row in enumerate(rows))
 
 
 def _gauss_jordan(rows, width):
@@ -380,27 +384,24 @@ def pseudoinverse_oracle(A):
     return RatMatrix.from_ints(n, m, rows, den)
 
 
-def penrose_products(A, X):
-    """(report, A X, X A): the four Penrose conditions for (A, X) with
-    exact equality, and the two products they read.
+def penrose_identities(A, X):
+    """(report, ax_is_identity, xa_is_identity): the four Penrose
+    conditions for (A, X) with exact equality, and whether A X and X A are
+    identity matrices.
 
     With A = Ai / a and X = Xi / x for int rows Ai and Xi, A X A = A reads
     Ai Xi Ai = a x Ai and X A X = X reads Xi Ai Xi = a x Xi; symmetry is
-    unaffected.
+    unaffected, and A X = I reads Ai Xi = a x I.
     """
     _check_pair(A, X)
     scale = A.den * X.den
     report, ax, xa = _penrose(A.nums, X.nums, scale)
-    return (
-        report,
-        RatMatrix.from_ints(A.rows, A.rows, ax, scale),
-        RatMatrix.from_ints(A.cols, A.cols, xa, scale),
-    )
+    return report, _is_scaled_identity(ax, scale), _is_scaled_identity(xa, scale)
 
 
 def penrose_check(A, X):
     """Evaluate the four Penrose conditions for (A, X) with exact equality:
-    the report of penrose_products, without building the products."""
+    the report of penrose_identities, without the identity verdicts."""
     _check_pair(A, X)
     return _penrose(A.nums, X.nums, A.den * X.den)[0]
 

@@ -257,7 +257,6 @@ class ClassMatrix:
     q: int
     r: int
     c: int
-    N: int
     values: tuple
 
     @property
@@ -271,9 +270,7 @@ class ClassMatrix:
 
 def class_matrix(n, q, r, c):
     """ClassMatrix form of the closed-form inverse of build_incidence(n, q, r, c)."""
-    return ClassMatrix(
-        n=n, q=q, r=r, c=c, N=max(n, r + c), values=mpinv_class_values(n, q, r, c)
-    )
+    return ClassMatrix(n=n, q=q, r=r, c=c, values=mpinv_class_values(n, q, r, c))
 
 
 def class_rows(cm, values):

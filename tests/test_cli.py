@@ -10,7 +10,7 @@ from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
     RatMatrix,
-    penrose_products,
+    penrose_identities,
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
@@ -174,6 +174,32 @@ def test_mpinv_design_closed_form_entries(capsys):
     assert [str(x) for x in X.row(0)] == ["1/3", "-1/6", "1/3", "-1/6", "1/3", "-1/6", "-1/6"]
 
 
+def test_mpinv_design_has_no_expand(capsys):
+    # a design's inverse is always emitted as a matrix
+    with pytest.raises(SystemExit) as exc:
+        main(["mpinv", "design", "--file", FANO, "--s", "1", "--expand"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --expand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mpinv", "set", "--n", "5", "--r", "1", "--c", "2", "--expand", "--format", "csv"],
+    ["mpinv", "subspace", "--n", "3", "--q", "2", "--r", "1", "--c", "2", "--expand"],
+    ["mpinv", "design", "--file", FANO, "--s", "1"],
+    ["mpinv", "design", "--file", FANO, "--s", "2", "--format", "csv"],
+], ids=["set-expand", "subspace-expand", "design-closed-form", "design-oracle"])
+def test_mpinv_builds_labels_only_with_labels(capsys, monkeypatch, argv):
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+
+    def refuse(*args):
+        raise AssertionError("labels built without --with-labels")
+
+    monkeypatch.setattr("mpinc.cli.labels", refuse)
+    monkeypatch.setattr("mpinc.cli.all_subsets", refuse)
+    assert run(capsys, argv) == expected
+
+
 def test_mpinv_design_needs_strength(capsys, tmp_path):
     f = tmp_path / "noheader.blk"
     f.write_text("1 2\n3 4\n1 3\n2 4\n1 4\n2 3\n")
@@ -250,11 +276,11 @@ def test_verify_oracle_mismatch_exits_1(capsys, monkeypatch):
 
 def test_verify_regime_identity_failure_exits_1(capsys, monkeypatch):
     # n = r + c: both identities are read off the Penrose products
-    def bumped_products(A, X):
-        report, AX, XA = penrose_products(A, X)
-        return report, AX, add_one_at(XA, 0, 1)
+    def flipped_identities(A, X):
+        report, ax_is_identity, xa_is_identity = penrose_identities(A, X)
+        return report, ax_is_identity, not xa_is_identity
 
-    monkeypatch.setattr("mpinc.cli.penrose_products", bumped_products)
+    monkeypatch.setattr("mpinc.cli.penrose_identities", flipped_identities)
     code, out, err = run(capsys, ["verify", "set", "--n", "3", "--r", "1", "--c", "2"])
     assert (code, out, err) == (1, "", "regime identity M*M=I fails\n")
 
@@ -266,6 +292,30 @@ def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("mpinc.cli.pseudoinverse_oracle", bumped_oracle)
     code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
     assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
+
+
+def test_repeated_blocks_take_the_skeleton_route(capsys, tmp_path):
+    # the Fano blocks twice: M_2 and M_3 have duplicate columns, so neither
+    # has full rank and the oracle goes through its skeleton
+    blocks = Path(FANO).read_text().split("\n", 1)[1]
+    (tmp_path / "twice.blk").write_text("# 2 7 3 2\n" + blocks + blocks)
+    design = str(tmp_path / "twice.blk")
+    for s in ("1", "2", "3"):
+        code, out, err = run(capsys, ["verify", "design", "--file", design, "--s", s])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert all(doc["penrose"].values())
+        assert doc["closed_form_matches_oracle"] is (True if s == "1" else None)
+    code, out, _ = run(capsys, ["survey", "--dir", str(tmp_path), "--s", "3"])
+    assert code == 0
+    assert json.loads(out)["designs"][0]["classes"] == {
+        "i=3": ["1/2"], "i=2": ["0"], "i=1": ["0"], "i=0": ["0"]
+    }
+    code, out, _ = run(capsys, ["mpinv", "design", "--file", design, "--s", "3", "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == 14
+    assert all(row.count("1/2") == 1 and row.count("0") == len(row) - 1 for row in rows)
 
 
 def test_survey_exit_codes(capsys, tmp_path):

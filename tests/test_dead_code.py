@@ -1,0 +1,122 @@
+"""Nothing in the package is defined or imported without a reader.
+
+Every module-level name and class method of src/mpinc must be referenced
+outside its own definition somewhere in src/, tests/, demos/ or
+perfbench/, and no module of src/mpinc may import a name it never uses
+(a line marked `# noqa: F401` is exempt). A reference is a name, an
+attribute, an imported name, or a word of a string constant that is not
+a docstring, so monkeypatch paths such as "mpinc.cli.labels" and the names
+in __all__ count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mpinc"
+SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "demos", ROOT / "perfbench"]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def docstrings(tree):
+    """The string constants that are docstrings: they name things, they do
+    not read them."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def references(tree):
+    """(name, line) of every name the module mentions outside docstrings."""
+    skip = set(map(id, docstrings(tree)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skip:
+                for word in re.findall(r"\w+", node.value):
+                    yield word, node.lineno
+
+
+def definitions(tree):
+    """(name, first line, last line) of each module-level name and each
+    method of a module-level class; dunder names are called implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.lineno, item.end_lineno
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node.lineno, node.end_lineno
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_package_definition_has_a_reader():
+    seen = {}
+    for top in SEARCHED:
+        for path in sorted(top.rglob("*.py")):
+            for name, line in references(parse(path)):
+                seen.setdefault(name, []).append((path, line))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in definitions(parse(path)):
+            if is_dunder(name):
+                continue
+            outside = [
+                (where, line) for where, line in seen.get(name, [])
+                if where != path or not first <= line <= last
+            ]
+            if not outside:
+                unread.append(f"{path.name}:{first} {name}")
+    assert unread == []
+
+
+def exported(tree):
+    """The names listed in the module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    read = exported(tree) | {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
+    assert unused == []

@@ -99,8 +99,10 @@ def test_json_shape_mismatch_rejected():
     ('{"rows": 1, "cols": 2, "entries": [[1, 2]]}', r"entry \(0,0\) = 1 is not a string"),
     ('{"rows": 1, "cols": 1, "entries": [[null]]}', r"entry \(0,0\) = None is not a string"),
     ('{"rows": 1, "cols": 1, "entries": 5}', "row count mismatch"),
+    ("{", "is not JSON: Expecting property name enclosed in double quotes"),
+    ("", "is not JSON: Expecting value"),
 ], ids=["number", "array", "bool-rows", "negative-cols", "float-rows", "int-entries",
-        "null-entry", "entries-not-list"])
+        "null-entry", "entries-not-list", "truncated", "empty"])
 def test_json_rejects_malformed_document(text, message):
     with pytest.raises(ParameterError, match=message):
         parse_json(text)

@@ -4,7 +4,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mpinc.linalg
@@ -16,6 +16,7 @@ from mpinc.linalg import (
     first_difference,
     penrose_check,
     penrose_check_mod_p,
+    penrose_identities,
     pseudoinverse_oracle,
     rat_matrix_mod_p,
 )
@@ -293,6 +294,31 @@ def test_oracle_equals_skeleton_reference(kind_and_matrix):
     else:
         assume(rank == min(A.rows, A.cols))
     assert pseudoinverse_oracle(A) == skeleton_pseudoinverse(A)
+
+
+@st.composite
+def compatible_pairs(draw):
+    """(A, X) with X shaped like A^T: random rationals, or A with its
+    pseudoinverse, an exact inverse pair when A is square and nonsingular."""
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = M(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        return A, pseudoinverse_oracle(A)
+    return A, M(draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                              min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compatible_pairs())
+@example((M([[2, 0], [0, Fraction(1, 3)]]), M([[Fraction(1, 2), 0], [0, 3]])))
+@example((M([[Fraction(1, 2), Fraction(1, 2)]]), M([[1], [1]])))
+def test_penrose_identities_match_the_products(pair):
+    A, X = pair
+    report, ax_is_identity, xa_is_identity = penrose_identities(A, X)
+    assert report == penrose_check(A, X)
+    assert ax_is_identity == (A @ X).is_identity()
+    assert xa_is_identity == (X @ A).is_identity()
 
 
 @settings(max_examples=60, deadline=None)

@@ -240,7 +240,6 @@ def test_incidence_entries_match_containment():
 def test_class_values_fano():
     cm = class_matrix(3, 2, 1, 2)
     assert cm.values == (Fraction(-1, 6), Fraction(1, 3))
-    assert cm.N == 3
 
 
 def test_class_values_r_equals_c():
@@ -249,7 +248,6 @@ def test_class_values_r_equals_c():
 
 def test_class_values_ambient_padding():
     # n < r+c computes in the padded ambient dimension
-    assert class_matrix(2, 2, 1, 2).N == 3
     assert mpinv_class_values(2, 2, 1, 2) == mpinv_class_values(3, 2, 1, 2)
 
 
