@@ -66,11 +66,6 @@ def int_polynomial(coeffs):
     return coeffs
 
 
-def poly_degree(coeffs):
-    coeffs = int_polynomial(coeffs)
-    return len(coeffs) - 1 if coeffs else -1
-
-
 def poly_eval(coeffs, x):
     out = 0
     for c in reversed(int_polynomial(coeffs)):

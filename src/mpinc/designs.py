@@ -64,28 +64,27 @@ class ValidationResult:
     witness: tuple = None
 
 
-def parse_design(source, name=None):
-    """Read a design file (path, or file-like object) into an unvalidated Design.
+def parse_design(path):
+    """Read the design file at path into an unvalidated Design named after
+    the file.
 
-    Header parameters, when present, are kept in .declared and v/k are
-    cross-checked; without a header v is inferred as the largest point seen.
-    t and lam stay unset until validated_design() has counted them.
+    The file must be ASCII. Header parameters, when present, are kept in
+    .declared and v/k are cross-checked; without a header v is inferred as
+    the largest point seen. t and lam stay unset until validated_design()
+    has counted them.
     """
+    label = os.path.basename(path)
+
     def malformed(message, lineno):
         return DesignParseError(message, line=lineno, source=label)
 
-    if hasattr(source, "read"):
-        label = name or getattr(source, "name", "design")
-        text = source.read()
-    else:
-        label = name or os.path.basename(str(source))
-        with open(source, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            where = raw.count(b"\n", 0, exc.start) + 1
-            raise malformed(f"byte {raw[exc.start]:#x} is not ASCII", where) from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        where = raw.count(b"\n", 0, exc.start) + 1
+        raise malformed(f"byte {raw[exc.start]:#x} is not ASCII", where) from None
 
     declared = None
     blocks = []

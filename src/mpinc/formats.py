@@ -1,6 +1,5 @@
 """Matrix serialization: CSV and JSON of exact rationals, Matrix Market
-coordinate pattern for 0/1 incidence matrices. Every writer has a parser and
-round-trips bit-exactly.
+coordinate pattern for 0/1 incidence matrices.
 
 The writers take a ClassMatrix, an IncidenceMatrix or a RatMatrix and
 render rows of strings straight from it. Rationals render as "num/den" with
@@ -8,25 +7,12 @@ the denominator omitted when it is 1.
 """
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain
 
 from .errors import ParameterError
-from .linalg import IncidenceMatrix, RatMatrix
+from .linalg import IncidenceMatrix
 from .subspaces import ClassMatrix, class_rows
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
-
-def parse_rational(s):
-    s = s.strip()
-    if not _RATIONAL_RE.match(s):
-        raise ParameterError(f"not a rational literal: {s!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 def _text_rows(M):
@@ -56,17 +42,6 @@ def write_csv(M):
     return "\n".join(map(",".join, _text_rows(M))) + "\n"
 
 
-def parse_csv(text):
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([parse_rational(cell) for cell in line.split(",")])
-    if not rows:
-        raise ParameterError("empty CSV matrix")
-    return RatMatrix.from_rows(rows)
-
-
 def write_json(M, row_labels=None, col_labels=None):
     """The bytes of json.dumps(doc, indent=2) + "\n" for the document with
     rows, cols, entries and the labels given, entries joined row by row.
@@ -86,34 +61,6 @@ def write_json(M, row_labels=None, col_labels=None):
     ]
     entries = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
     return head + '"entries": ' + entries + tail + "\n"
-
-
-def parse_json(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"JSON matrix is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParameterError(f"JSON matrix must be an object, got {type(doc).__name__}")
-    for key in ("rows", "cols", "entries"):
-        if key not in doc:
-            raise ParameterError(f"JSON matrix is missing {key!r}")
-    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
-    for key, size in (("rows", rows), ("cols", cols)):
-        # bool is an int subclass, so the type is compared exactly
-        if type(size) is not int or size < 0:
-            raise ParameterError(f"JSON matrix {key!r} must be a non-negative int, got {size!r}")
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise ParameterError("JSON matrix row count mismatch")
-    flat = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParameterError("JSON matrix column count mismatch")
-        for j, x in enumerate(row):
-            if not isinstance(x, str):
-                raise ParameterError(f"JSON matrix entry ({i},{j}) = {x!r} is not a string")
-            flat.append(parse_rational(x))
-    return RatMatrix(rows, cols, tuple(flat))
 
 
 def write_mtx(M):
@@ -147,38 +94,3 @@ def _pattern_support(M):
                 )
         support.append(cols)
     return support
-
-
-def _mtx_counts(line, count, what):
-    # the count non-negative integers of one line, or ParameterError naming it
-    fields = line.split()
-    if len(fields) != count or not all(x.isdecimal() for x in fields):
-        raise ParameterError(f"bad {what} line {line!r}: expected {count} non-negative integers")
-    return [int(x) for x in fields]
-
-
-def parse_mtx(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParameterError("missing MatrixMarket header")
-    if lines[0].split() != ["%%MatrixMarket", "matrix", "coordinate", "pattern", "general"]:
-        raise ParameterError(f"unsupported MatrixMarket flavor: {lines[0]!r}")
-    body = [ln for ln in lines[1:] if not ln.startswith("%")]
-    if not body:
-        raise ParameterError("missing size line after the MatrixMarket header")
-    rows, cols, nnz = _mtx_counts(body[0], 3, "size")
-    if len(body) - 1 != nnz:
-        raise ParameterError(f"expected {nnz} coordinate lines, got {len(body) - 1}")
-    support = [set() for _ in range(rows)]
-    for ln in body[1:]:
-        i, j = _mtx_counts(ln, 2, "coordinate")
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise ParameterError(f"coordinate ({i}, {j}) out of range")
-        if j - 1 in support[i - 1]:
-            raise ParameterError(f"coordinate line {ln!r} repeats ({i}, {j})")
-        support[i - 1].add(j - 1)
-    return IncidenceMatrix(
-        rows=rows,
-        cols=cols,
-        row_support=tuple(tuple(sorted(s)) for s in support),
-    )

@@ -101,8 +101,6 @@ def enumerate_subspaces(n, q, r):
     _check_enum_params(n, q, r)
     f = build_field(q)
     out = []
-    if r == 0:
-        return (SubspaceBasis(n=n, field=f, basis=GFMatrix(0, n, ()), pivots=()),)
     for pivot_set in all_subsets(n, r):
         pivots = tuple(p - 1 for p in pivot_set)
         pivot_pos = set(pivots)

@@ -5,12 +5,13 @@ is written from its definition and shares no elimination kernel with mpinc.
 pytest does not collect this module; tests import it by name.
 """
 
+import json
 from fractions import Fraction
 
 from mpinc.combinat import binomial
 from mpinc.errors import InvalidFieldError, ParameterError, ShapeError
 from mpinc.gf import GFMatrix
-from mpinc.linalg import RatMatrix
+from mpinc.linalg import IncidenceMatrix, RatMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,34 @@ def rref_rational(A):
     rank = len(pivots)
     R = RatMatrix(rank, A.cols, tuple(x for row in rows[:rank] for x in row))
     return R, rank, tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# reading what the writers emit, with the standard library
+
+def read_csv(text):
+    """The RatMatrix of a CSV text of rationals, one Fraction(cell) each."""
+    return RatMatrix.from_rows([[Fraction(cell) for cell in line.split(",")]
+                                for line in text.splitlines()])
+
+
+def read_json(text):
+    """The RatMatrix of a JSON matrix document's entries."""
+    doc = json.loads(text)
+    return RatMatrix(doc["rows"], doc["cols"],
+                     tuple(Fraction(x) for row in doc["entries"] for x in row))
+
+
+def read_mtx(text):
+    """The IncidenceMatrix of a Matrix Market pattern text, read off its size
+    line and its 1-based coordinate lines."""
+    _, size, *body = text.splitlines()
+    rows, cols, _ = map(int, size.split())
+    support = [[] for _ in range(rows)]
+    for line in body:
+        i, j = map(int, line.split())
+        support[i - 1].append(j - 1)
+    return IncidenceMatrix(rows, cols, tuple(map(tuple, support)))
 
 
 # ---------------------------------------------------------------------------

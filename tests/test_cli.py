@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mpinc.cli import main
-from mpinc.formats import parse_csv, parse_json, parse_mtx, write_csv
+from mpinc.formats import write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
     RatMatrix,
@@ -21,6 +21,7 @@ from mpinc.subspaces import (
     class_matrix,
     expand_class_matrix,
 )
+from reference import read_csv, read_json, read_mtx
 
 FANO = "samples/fano/fano.blk"
 
@@ -123,7 +124,7 @@ def test_mpinv_set_expand_csv_round_trips(capsys):
         ["mpinv", "set", "--n", "4", "--r", "1", "--c", "2", "--expand", "--format", "csv"],
     )
     assert code == 0
-    assert parse_csv(out) == expand_class_matrix(class_matrix(4, 1, 1, 2))
+    assert read_csv(out) == expand_class_matrix(class_matrix(4, 1, 1, 2))
 
 
 def test_build_set_mtx(capsys):
@@ -132,7 +133,7 @@ def test_build_set_mtx(capsys):
     )
     assert code == 0
     assert out.splitlines()[1] == "4 6 12"
-    assert parse_mtx(out).to_rat_matrix() == build_incidence(4, 1, 1, 2).to_rat_matrix()
+    assert read_mtx(out).to_rat_matrix() == build_incidence(4, 1, 1, 2).to_rat_matrix()
 
 
 def test_build_rejects_bad_parameters(capsys):
@@ -150,7 +151,7 @@ def test_build_subspace_with_labels_json(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert parse_json(out) == RatMatrix.identity(3)
+    assert read_json(out) == RatMatrix.identity(3)
     assert doc["row_labels"] == [[["1", "0"]], [["1", "1"]], [["0", "1"]]]
     assert doc["row_labels"] == doc["col_labels"]
 
@@ -168,7 +169,7 @@ def test_with_labels_requires_json(capsys):
 def test_mpinv_design_closed_form_entries(capsys):
     code, out, _ = run(capsys, ["mpinv", "design", "--file", FANO, "--s", "1"])
     assert code == 0
-    X = parse_json(out)
+    X = read_json(out)
     assert (X.rows, X.cols) == (7, 7)
     # block 1 of the bundled file is {1, 3, 5}
     assert [str(x) for x in X.row(0)] == ["1/3", "-1/6", "1/3", "-1/6", "1/3", "-1/6", "-1/6"]
@@ -208,7 +209,7 @@ def test_mpinv_design_needs_strength(capsys, tmp_path):
     assert "--t" in err
     code, out, _ = run(capsys, ["mpinv", "design", "--file", str(f), "--s", "1", "--t", "2"])
     assert code == 0
-    assert parse_json(out).rows == 6
+    assert read_json(out).rows == 6
 
 
 def test_verify_set_right_inverse_regime(capsys):
@@ -374,15 +375,17 @@ def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
     assert list(map(id, densified)) == list(map(id, built))
 
 @pytest.mark.parametrize("blocks, message", [
-    ("2 1\n", "line 1: block (2, 1) is not strictly increasing"),
-    ("0 1 2\n", "line 1: point 0 is out of range; points are 1-based"),
-    ("1 2 3\n-4 5 6\n", "line 2: point -4 is out of range; points are 1-based"),
-    ("1 2 3\n4 5 6\xe9\n", "line 2: byte 0xe9 is not ASCII"),
-], ids=["not-increasing", "zero", "negative", "not-ascii"])
+    (b"2 1\n", "line 1: block (2, 1) is not strictly increasing"),
+    (b"0 1 2\n", "line 1: point 0 is out of range; points are 1-based"),
+    (b"1 2 3\n-4 5 6\n", "line 2: point -4 is out of range; points are 1-based"),
+    (b"1 2 3\n4 5 6\xe9\n", "line 2: byte 0xe9 is not ASCII"),
+    # fullwidth digits, which int() would read as points
+    ("１ ２\n２ ３\n１ ３\n".encode("utf-8"), "line 1: byte 0xef is not ASCII"),
+], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits"])
 def test_malformed_design_names_the_file_once(capsys, tmp_path, blocks, message):
     d = tmp_path / "designs"
     d.mkdir()
-    (d / "bad.blk").write_bytes(blocks.encode("latin-1"))
+    (d / "bad.blk").write_bytes(blocks)
     expected = (2, "", f"mpinc: bad.blk: {message}\n")
     design = ["--file", str(d / "bad.blk"), "--s", "1"]
     for command in ("build", "mpinv", "verify"):

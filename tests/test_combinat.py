@@ -7,7 +7,6 @@ from mpinc.combinat import (
     gauss_binomial_formula_check,
     gaussian_binomial,
     int_polynomial,
-    poly_degree,
     poly_eval,
     q_integer,
     q_ruiz_sum,
@@ -80,8 +79,6 @@ def test_gaussian_binomial_counts_subspaces():
 def test_int_polynomial_normalizes():
     assert int_polynomial((1, 2, 0, 0)) == (1, 2)
     assert int_polynomial(()) == ()
-    assert poly_degree((0, 0, 3)) == 2
-    assert poly_degree((0,)) == -1
 
 
 def test_poly_eval():

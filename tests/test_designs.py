@@ -1,4 +1,3 @@
-import io
 from collections import Counter
 from fractions import Fraction
 
@@ -32,6 +31,16 @@ PAIRS = "samples/pairs/pairs42.blk"
 COMPLEMENT = "samples/fano_complement/fano_complement.blk"
 
 
+@pytest.fixture
+def design_file(tmp_path):
+    """Writes a design text to a file under tmp_path and returns its path."""
+    def write(text, name="design.blk"):
+        path = tmp_path / name
+        path.write_text(text, encoding="ascii")
+        return path
+    return write
+
+
 def test_parse_fano():
     D = parse_design(FANO)
     assert (D.v, D.b, D.k) == (7, 7, 3)
@@ -41,52 +50,53 @@ def test_parse_fano():
     assert D.name == "fano.blk"
 
 
-def test_parse_infers_v_without_header():
-    D = parse_design(io.StringIO("1 2\n2 3\n1 3\n"), name="triangle")
+def test_parse_infers_v_without_header(design_file):
+    D = parse_design(design_file("1 2\n2 3\n1 3\n", name="triangle.blk"))
     assert (D.v, D.b, D.k) == (3, 3, 2)
     assert D.declared is None
+    assert D.name == "triangle.blk"
 
 
-def test_parse_skips_blanks_and_late_comments():
-    D = parse_design(io.StringIO("1 2\n\n# a remark\n2 3\n"))
+def test_parse_skips_blanks_and_late_comments(design_file):
+    D = parse_design(design_file("1 2\n\n# a remark\n2 3\n"))
     assert D.b == 2
 
 
-def test_parse_error_point_exceeds_declared_v():
+def test_parse_error_point_exceeds_declared_v(design_file):
     with pytest.raises(DesignParseError, match="line 3"):
-        parse_design(io.StringIO("# 2 7 3 1\n1 2 3\n1 2 99\n"))
+        parse_design(design_file("# 2 7 3 1\n1 2 3\n1 2 99\n"))
 
 
-def test_parse_error_non_integer():
+def test_parse_error_non_integer(design_file):
     with pytest.raises(DesignParseError, match="line 2"):
-        parse_design(io.StringIO("1 2\n1 x\n"))
+        parse_design(design_file("1 2\n1 x\n"))
 
 
-def test_parse_error_not_increasing():
+def test_parse_error_not_increasing(design_file):
     with pytest.raises(DesignParseError, match="line 1"):
-        parse_design(io.StringIO("2 2\n"))
+        parse_design(design_file("2 2\n"))
     with pytest.raises(DesignParseError):
-        parse_design(io.StringIO("3 1\n"))
+        parse_design(design_file("3 1\n"))
 
 
-def test_parse_error_block_size_mismatch():
+def test_parse_error_block_size_mismatch(design_file):
     with pytest.raises(DesignParseError, match="line 2"):
-        parse_design(io.StringIO("1 2 3\n1 2\n"))
+        parse_design(design_file("1 2 3\n1 2\n"))
 
 
-def test_parse_error_declared_k_mismatch():
+def test_parse_error_declared_k_mismatch(design_file):
     with pytest.raises(DesignParseError):
-        parse_design(io.StringIO("# 2 7 4 1\n1 2 3\n"))
+        parse_design(design_file("# 2 7 4 1\n1 2 3\n"))
 
 
-def test_parse_error_empty():
+def test_parse_error_empty(design_file):
     with pytest.raises(DesignParseError):
-        parse_design(io.StringIO("# 2 7 3 1\n"))
+        parse_design(design_file("# 2 7 3 1\n"))
 
 
-def test_parse_error_nonpositive_point():
+def test_parse_error_nonpositive_point(design_file):
     with pytest.raises(DesignParseError):
-        parse_design(io.StringIO("0 1\n"))
+        parse_design(design_file("0 1\n"))
 
 
 def test_validate_fano():
@@ -132,11 +142,11 @@ def test_validated_design_rejects_invalid():
         validated_design(broken, 2)
 
 
-def test_validated_design_checks_declared_lambda():
+def test_validated_design_checks_declared_lambda(design_file):
     src = "# 2 7 3 9\n" + "\n".join(
         " ".join(map(str, B)) for B in parse_design(FANO).blocks
     )
-    D = parse_design(io.StringIO(src))
+    D = parse_design(design_file(src))
     assert D.declared == (2, 7, 3, 9)
     with pytest.raises(ParameterError):
         validated_design(D, 2)

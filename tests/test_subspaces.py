@@ -11,6 +11,7 @@ from mpinc.errors import ParameterError, ShapeError
 from mpinc.gf import GFMatrix, build_field, gf_add, gf_mul
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
+    SubspaceBasis,
     build_incidence,
     char_p_obstruction,
     class_matrix,
@@ -32,7 +33,9 @@ from reference import rref_gf, to_rows
 def test_enumeration_counts_are_gaussian():
     assert len(enumerate_subspaces(2, 2, 1)) == 3
     assert len(enumerate_subspaces(4, 2, 2)) == 35
-    assert len(enumerate_subspaces(3, 3, 0)) == 1
+    for n in (0, 3):
+        zero = SubspaceBasis(n=n, field=build_field(3), basis=GFMatrix(0, n, ()), pivots=())
+        assert enumerate_subspaces(n, 3, 0) == (zero,)
     for (n, q, r) in [(3, 2, 1), (3, 2, 2), (4, 3, 2), (2, 9, 1)]:
         assert len(enumerate_subspaces(n, q, r)) == gaussian_binomial(n, r, q)
 
