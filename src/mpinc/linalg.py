@@ -223,16 +223,22 @@ def _row_sparse_matmul(a, b, ncols):
     return out
 
 
-def _matmul(a, b, ncols):
+def _matmul(a, b, ncols, nnz_a=None, nnz_b=None):
     """a @ b for int rows; b has ncols columns.
 
     The product scans the nonzeros of one factor and adds whole rows of the
     other, so its cost is the scanned factor's nnz times the other's width.
     It scans a, or b through (b^T a^T)^T, whichever costs less: with a 0/1
     incidence matrix on either side, the dense factor is never scanned.
+    nnz_a and nnz_b, when given, are the nonzero counts of a and b, passed
+    by callers that multiply by one factor more than once.
     """
     inner = len(b)
-    if _nnz(b) * len(a) < _nnz(a) * ncols:
+    if nnz_a is None:
+        nnz_a = _nnz(a)
+    if nnz_b is None:
+        nnz_b = _nnz(b)
+    if nnz_b * len(a) < nnz_a * ncols:
         bt_at = _row_sparse_matmul(_transpose(b, ncols), _transpose(a, inner), len(a))
         return _transpose(bt_at, len(a))
     return _row_sparse_matmul(a, b, ncols)
@@ -302,22 +308,26 @@ def _inverse(M):
     return [row[k:] for row in reduced], d
 
 
-def _full_rank_inverse(a, n):
+def _full_rank_inverse(a, n, nnz_a=None):
     """(rows, d) with A+ = rows / d when A (int rows a, m x n) has full row
     or full column rank, else SingularError.
 
     Square A is inverted; a wide A gives A^T (A A^T)^-1 and a tall one
-    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank.
+    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank. nnz_a,
+    when given, is the nonzero count of a.
     """
     m = len(a)
     if m == n:
         return _inverse(a)
+    if nnz_a is None:
+        nnz_a = _nnz(a)
+    # A^T has the nonzeros of A
     at = _transpose(a, n)
     if m < n:
-        adj, d = _inverse(_matmul(a, at, m))
-        return _matmul(at, adj, m), d
-    adj, d = _inverse(_matmul(at, a, n))
-    return _matmul(adj, at, m), d
+        adj, d = _inverse(_matmul(a, at, m, nnz_a, nnz_a))
+        return _matmul(at, adj, m, nnz_a), d
+    adj, d = _inverse(_matmul(at, a, n, nnz_a, nnz_a))
+    return _matmul(adj, at, m, None, nnz_a), d
 
 
 def _check_pair(A, X):
@@ -338,13 +348,17 @@ def _penrose(a, x, scale, reduce=None):
     a x (m x m) and x a (n x n).
     """
     m, n = len(a), len(x)
-    ax, xa = _matmul(a, x, m), _matmul(x, a, n)
+    # each factor's nonzeros are counted once, for all the products it is in
+    na, nx = _nnz(a), _nnz(x)
+    ax, xa = _matmul(a, x, m, na, nx), _matmul(x, a, n, nx, na)
     if reduce is not None:
         ax, xa = reduce(ax), reduce(xa)
     if n < m:
-        axa, xax = _matmul(a, xa, n), _matmul(xa, x, m)
+        nxa = _nnz(xa)
+        axa, xax = _matmul(a, xa, n, na, nxa), _matmul(xa, x, m, nxa, nx)
     else:
-        axa, xax = _matmul(ax, a, n), _matmul(x, ax, m)
+        nax = _nnz(ax)
+        axa, xax = _matmul(ax, a, n, nax, na), _matmul(x, ax, m, nx, nax)
     if reduce is not None:
         axa, xax = reduce(axa), reduce(xax)
     report = PenroseReport(
@@ -367,8 +381,9 @@ def pseudoinverse_oracle(A):
     """
     a, Ai = A.den, A.nums
     m, n = A.rows, A.cols
+    nnz = _nnz(Ai)
     try:
-        rows, den = _full_rank_inverse(Ai, n)
+        rows, den = _full_rank_inverse(Ai, n, nnz)
     except SingularError:
         # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
         _, order, pivots, _ = _gauss_jordan(Ai, n)
@@ -377,8 +392,9 @@ def pseudoinverse_oracle(A):
             return RatMatrix.zeros(n, m)
         Rt = _transpose([Ai[i] for i in order[:k]], n)
         Ft = [[row[j] for row in Ai] for j in pivots]
-        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
-        rows = _matmul(Rt, _matmul(adj, Ft, m), m)
+        nr, nf = _nnz(Rt), _nnz(Ft)
+        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k, nnz, nr), k, nf))
+        rows = _matmul(Rt, _matmul(adj, Ft, m, None, nf), m, nr)
     if a != 1:
         rows = [[a * v for v in row] for row in rows]
     return RatMatrix.from_ints(n, m, rows, den)

@@ -21,11 +21,12 @@ colexicographic order, then free entries in row-major lexicographic order
 over the field elements (ordered by their integer encoding sum c_i p^i).
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import product
-from operator import add
+from functools import cached_property, lru_cache, partial
+from itertools import product, repeat
+from struct import Struct
 
 from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
@@ -177,25 +178,36 @@ def inclusion_support(row_sets, col_sets):
     return tuple(support)
 
 
+# meet_sizes' counter fields: (bytes, standard-size struct code)
+_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
 def meet_sizes(row_sets, col_sets):
     """Yield, for each row point set R, the list of |R intersect C| over col_sets.
 
-    Each point holds a 0/1 list over the columns, and a row's sizes are the
-    sum of its points' lists. A point set holds each point once.
+    Packed counters: each point is one int with a fixed-width counter field
+    per column, holding 1 where that column holds the point. A row's sizes
+    are the sum of its points' ints, read back field by field, so a row
+    costs |R| big-int additions. The field width is the fewest of 1, 2, 4
+    or 8 bytes that holds the size of the largest column set, which bounds
+    every |R intersect C|, so no field carries into the next. A point set
+    holds each point once.
     """
-    ncols = len(col_sets)
-    indicator = {}
+    most = max(map(len, col_sets), default=0)
+    width, code = next((w, f) for w, f in _FIELDS if most < 256**w)
+    size = len(col_sets) * width
+    buffers = defaultdict(partial(bytearray, size))
     for j, C in enumerate(col_sets):
+        # the low byte of field j, little-endian
+        at = j * width
         for x in C:
-            indicator.setdefault(x, [0] * ncols)[j] = 1
-    zeros = [0] * ncols
+            buffers[x][at] = 1
+    counters = {x: int.from_bytes(buf, "little") for x, buf in buffers.items()}
+    fields = Struct(f"<{len(col_sets)}{code}").unpack
     for R in row_sets:
-        held = [indicator[x] for x in R if x in indicator] or [zeros]
-        sizes = held[0]
-        for more in held[1:]:
-            sizes = list(map(add, sizes, more))
-        # a fresh list even when R holds at most one indexed point
-        yield sizes if len(held) > 1 else sizes[:]
+        # a point no column holds adds 0
+        total = sum(map(counters.get, R, repeat(0)))
+        yield list(fields(total.to_bytes(size, "little")))
 
 
 def build_incidence(n, q, r, c):

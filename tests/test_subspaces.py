@@ -177,6 +177,41 @@ def test_kernels_match_references_on_families(q, n):
     assert list(meet_sizes(sets, sets)) == list(reference.pairwise_meet_sizes(sets, sets))
 
 
+def test_kernels_match_references_on_gf9_family():
+    # every member of GF(9)^3; a point is a tuple of GF(9) elements, each
+    # itself a tuple
+    sets = _family_point_sets(3, 9)
+    assert len(sets) == 184
+    assert max(map(len, sets)) == gaussian_binomial(3, 1, 9) == 91
+    assert inclusion_support(sets, sets) == reference.holder_inclusion_support(sets, sets)
+    assert list(meet_sizes(sets, sets)) == list(reference.pairwise_meet_sizes(sets, sets))
+
+
+@pytest.mark.parametrize("most", [255, 256, 65_535, 65_536])
+def test_meet_sizes_wide_counter_fields(most):
+    # a largest column of 256 or more points takes 2-byte counters, and one
+    # of 65,536 or more 4-byte counters; the full meets fill a whole field
+    every = frozenset(range(most))
+    cols = [
+        every,
+        frozenset(range(1, most, 2)),
+        frozenset(range(most + 10, most + 15)),  # holds no row point
+        every,  # repeated
+        frozenset(),
+    ]
+    rows = [
+        every,
+        frozenset(range(0, most, 3)),
+        frozenset(range(most // 2, most + 3)),
+        frozenset({-1}),  # held by no column
+        frozenset(),
+    ]
+    got = list(meet_sizes(rows, cols))
+    assert got == list(reference.pairwise_meet_sizes(rows, cols))
+    assert got[0][0] == got[0][3] == most
+    assert [sizes[2] for sizes in got] == [0] * len(rows)
+
+
 def test_meet_sizes_yields_fresh_lists():
     # rows holding no indexed point, one or several each get a list of their own
     rows = [frozenset(), frozenset({7}), frozenset({1}), frozenset({1, 2})]
