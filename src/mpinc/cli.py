@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -142,7 +141,7 @@ def _cmd_mpinv(args):
                     f"closed form not admissible: p divides {obstruction}"
                 )
             # reduce the r + 1 class values once; expand then reads residues
-            cm = replace(cm, values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
+            cm = cm._replace(values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
         if not args.expand:
             if args.format != "json":
                 raise MpincError("class values are JSON only; use --expand for csv/mtx")
@@ -166,7 +165,7 @@ def _verify_failure(message):
 
 def _penrose_failure(conditions, inverse):
     """Print the first Penrose condition that fails and return EXIT_VERIFY,
-    or None when all four hold; conditions is asdict of the report.
+    or None when all four hold; conditions is the report's _asdict().
     """
     for name, holds in conditions.items():
         if not holds:
@@ -197,7 +196,7 @@ def _cmd_verify(args):
 
     X = expand_class_matrix(class_matrix(n, q, r, c))
     report, mx_is_identity, xm_is_identity = penrose_identities(M, X)
-    conditions = asdict(report)
+    conditions = report._asdict()
     failure = _penrose_failure(conditions, "the closed-form inverse")
     if failure is None:
         failure = _oracle_mismatch(X, pseudoinverse_oracle(M))
@@ -229,7 +228,7 @@ def _cmd_verify_design(args):
     D = _load_design(args.file, args.t)
     M = build_design_incidence(D, args.s).to_rat_matrix()
     X = pseudoinverse_oracle(M)
-    conditions = asdict(penrose_check(M, X))
+    conditions = penrose_check(M, X)._asdict()
     failure = _penrose_failure(conditions, f"the oracle inverse of M_{args.s}")
     if failure is not None:
         return failure

@@ -13,8 +13,7 @@ and every result is still checked, not assumed.
 
 import os
 import warnings
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,21 +23,16 @@ from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_ora
 from .subspaces import inclusion_support, meet_sizes
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(namedtuple(
+    "Design", "v blocks k name declared t lam", defaults=("design", None, None, None)
+)):
     """Point count v and a block collection.
 
     declared carries an optional "# t v k lambda" file header verbatim; t and
     lam stay None until the design is validated by exhaustive counting.
     """
 
-    v: int
-    blocks: tuple
-    k: int
-    name: str = "design"
-    declared: tuple = None
-    t: int = None
-    lam: int = None
+    __slots__ = ()
 
     @property
     def b(self):
@@ -49,19 +43,15 @@ class Design:
         return self.t is not None and self.lam is not None
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(namedtuple(
+    "ValidationResult", "valid t v k lam witness", defaults=(None, None)
+)):
     """Outcome of validate_design: lam when valid, a witness pair otherwise.
 
     The witness is ((T1, count1), (T2, count2)) with count1 != count2.
     """
 
-    valid: bool
-    t: int
-    v: int
-    k: int
-    lam: int = None
-    witness: tuple = None
+    __slots__ = ()
 
 
 def parse_design(path):
@@ -180,7 +170,7 @@ def validated_design(D, t):
                 f"{D.name}: header declares lambda = {lam_decl} but counting "
                 f"gives {result.lam}"
             )
-    return replace(D, t=t, lam=result.lam)
+    return D._replace(t=t, lam=result.lam)
 
 
 def lambda_s(t, v, k, lam, s):
@@ -248,24 +238,20 @@ def ms_mpinv_oracle(D, s):
     return pseudoinverse_oracle(build_design_incidence(D, s).to_rat_matrix())
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(namedtuple(
+    "SurveyReport", "s parameters design_names classes penrose cross_design exceptions"
+)):
     """Observed entry classes of M_s^+ across a collection of designs.
 
-    classes[d] maps intersection size i -> sorted tuple of distinct entries
-    for design d; cross_design maps i -> "agree"/"disagree" across designs;
-    exceptions lists (design name, (block index, subset), entry) for entries
-    deviating from their class's modal value. Observations only: no
-    uniqueness claim is asserted.
+    parameters is (t, v, k, lam); classes[d] is a dict mapping intersection
+    size i -> sorted tuple of distinct entries for design d; penrose[d] is
+    its PenroseReport; the dict cross_design maps i -> "agree"/"disagree"
+    across designs; exceptions lists (design name, (block index, subset),
+    entry) for entries deviating from their class's modal value.
+    Observations only: no uniqueness claim is asserted.
     """
 
-    s: int
-    parameters: tuple  # (t, v, k, lam)
-    design_names: tuple
-    classes: tuple  # per design: dict i -> tuple of distinct entries
-    penrose: tuple  # per design: PenroseReport
-    cross_design: dict  # i -> "agree" | "disagree"
-    exceptions: tuple
+    __slots__ = ()
 
     def to_json_dict(self):
         t, v, k, lam = self.parameters

@@ -8,7 +8,7 @@ tables are built for enumeration work only (q <= 9). factor_prime_power
 accepts any prime power, so class values need no tables.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -150,20 +150,17 @@ def render_element(a, f):
     return "[" + ",".join(str(c) for c in a) + "]"
 
 
-@dataclass(frozen=True)
-class GFMatrix:
+class GFMatrix(namedtuple("GFMatrix", "rows cols entries")):
     """Row-major matrix of field elements."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __new__(cls, rows, cols, entries):
+        if len(entries) != rows * cols:
             raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
+        return tuple.__new__(cls, (rows, cols, entries))
 
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -29,7 +29,7 @@ through the smaller of the two, and reads off those int rows whether A X
 and X A are identities. Nothing here touches floating point.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
@@ -39,8 +39,7 @@ from .errors import ParameterError, ShapeError, SingularError
 from .rationals import rat_mod_p
 
 
-@dataclass(frozen=True, init=False)
-class RatMatrix:
+class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
     """Immutable exact rational matrix in scaled integer form.
 
     nums holds the rows of den * A as tuples of ints, and den > 0 is the
@@ -49,12 +48,9 @@ class RatMatrix:
     rationals; from_ints takes int rows and a denominator.
     """
 
-    rows: int
-    cols: int
-    den: int
-    nums: tuple
+    __slots__ = ()
 
-    def __init__(self, rows, cols, entries):
+    def __new__(cls, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
         if len(entries) != rows * cols:
@@ -62,7 +58,7 @@ class RatMatrix:
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
         den, flat = scaled_ints(entries)
-        self._fill(rows, cols, den, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
+        return cls._fill(rows, cols, den, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
 
     @classmethod
     def from_ints(cls, rows, cols, nums, den=1):
@@ -75,16 +71,18 @@ class RatMatrix:
             if g != 1:
                 den //= g
                 nums = [tuple([v // g for v in row]) for row in nums]
-        M = cls.__new__(cls)
-        M._fill(rows, cols, den, nums)
-        return M
+        return cls._fill(rows, cols, den, nums)
 
-    def _fill(self, rows, cols, den, nums):
+    @classmethod
+    def _fill(cls, rows, cols, den, nums):
         # every constructor ends here, with den already canonical
         if len(nums) != rows or any(map(cols.__ne__, map(len, nums))):
             raise ShapeError(f"int rows do not form a {rows}x{cols} matrix")
-        # frozen: the fields go straight into the instance dict
-        self.__dict__.update(rows=rows, cols=cols, den=den, nums=tuple(map(tuple, nums)))
+        return tuple.__new__(cls, (rows, cols, den, tuple(map(tuple, nums))))
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the fields: __new__ takes entries
+        return self._make, (tuple(self),)
 
     @classmethod
     def from_rows(cls, rows_of_entries):
@@ -133,8 +131,9 @@ class RatMatrix:
         return self.rows == self.cols and _is_scaled_identity(self.nums, self.den)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(namedtuple(
+    "IncidenceMatrix", "rows cols row_support row_labels col_labels", defaults=(None, None)
+)):
     """Sparse 0/1 matrix plus the labels indexing its rows and columns.
 
     row_support[i] is the strictly increasing tuple of column indices with
@@ -142,11 +141,7 @@ class IncidenceMatrix:
     subspace bases, or blocks.
     """
 
-    rows: int
-    cols: int
-    row_support: tuple
-    row_labels: tuple = None
-    col_labels: tuple = None
+    __slots__ = ()
 
     def at(self, i, j):
         return 1 if j in self.row_support[i] else 0
@@ -175,14 +170,11 @@ class IncidenceMatrix:
         return RatMatrix.from_ints(self.rows, self.cols, rows)
 
 
-@dataclass(frozen=True)
-class PenroseReport:
-    """Outcome of the four defining conditions for X = A+."""
+class PenroseReport(namedtuple("PenroseReport", "cond1 cond2 cond3 cond4")):
+    """Outcome of the four defining conditions for X = A+: cond1 is
+    A X A = A, cond2 X A X = X, cond3 (A X)^T = A X, cond4 (X A)^T = X A."""
 
-    cond1: bool  # A X A = A
-    cond2: bool  # X A X = X
-    cond3: bool  # (A X)^T = A X
-    cond4: bool  # (X A)^T = X A
+    __slots__ = ()
 
     @property
     def all_ok(self):

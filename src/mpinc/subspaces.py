@@ -21,8 +21,7 @@ colexicographic order, then free entries in row-major lexicographic order
 over the field elements (ordered by their integer encoding sum c_i p^i).
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import product, repeat
@@ -46,18 +45,14 @@ def _gbinom(n, m, q):
     return binomial(n, m) if q == 1 else gaussian_binomial(n, m, q)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(namedtuple("SubspaceBasis", "n field basis pivots")):
     """Canonical representative of one subspace of GF(q)^n.
 
-    basis is in reduced row echelon form with exactly dim rows; two equal
-    subspaces always produce identical SubspaceBasis values.
+    basis is a GFMatrix in reduced row echelon form with exactly dim rows;
+    two equal subspaces always produce identical SubspaceBasis values.
     """
 
-    n: int
-    field: object
-    basis: GFMatrix
-    pivots: tuple
+    # no __slots__: the cached points live in the instance __dict__
 
     @property
     def dim(self):
@@ -254,8 +249,7 @@ def mpinv_class_values(n, q, r, c):
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class ClassMatrix:
+class ClassMatrix(namedtuple("ClassMatrix", "n q r c values")):
     """Compressed inverse: one rational per intersection dimension i = 0..r.
 
     Shape is [n,c]_q x [n,r]_q (the transpose orientation of the incidence
@@ -263,11 +257,7 @@ class ClassMatrix:
     family.
     """
 
-    n: int
-    q: int
-    r: int
-    c: int
-    values: tuple
+    __slots__ = ()
 
     @property
     def rows(self):

@@ -358,17 +358,18 @@ def test_survey_bad_file_names_the_file(capsys, tmp_path):
 def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
     # the oracle and the Penrose certificate share one dense RatMatrix
     built, densified = [], []
-    init, to_rat_matrix = IncidenceMatrix.__init__, IncidenceMatrix.to_rat_matrix
+    new, to_rat_matrix = IncidenceMatrix.__new__, IncidenceMatrix.to_rat_matrix
 
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
         built.append(self)
+        return self
 
     def counting_to_rat_matrix(self):
         densified.append(self)
         return to_rat_matrix(self)
 
-    monkeypatch.setattr(IncidenceMatrix, "__init__", counting_init)
+    monkeypatch.setattr(IncidenceMatrix, "__new__", counting_new)
     monkeypatch.setattr(IncidenceMatrix, "to_rat_matrix", counting_to_rat_matrix)
     assert run(capsys, argv)[0] == 0
     assert built

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,7 +114,7 @@ def _written(write, M, **kwargs):
 
 
 def _reduced(cm, p):
-    return replace(cm, values=tuple(Fraction(rat_mod_p(x, p)) for x in cm.values))
+    return cm._replace(values=tuple(Fraction(rat_mod_p(x, p)) for x in cm.values))
 
 
 @pytest.mark.parametrize("p", [None, 7])
