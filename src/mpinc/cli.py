@@ -28,7 +28,6 @@ from .errors import CharacteristicError, MpincError, NotReducibleError
 from .gf import factor_prime_power, render_element
 from .linalg import (
     first_difference,
-    penrose_check,
     penrose_identities,
     pseudoinverse_oracle,
     rat_matrix_mod_p,
@@ -71,8 +70,6 @@ def _render_labels(labels):
 
 def _emit_matrix(M, args, row_labels=None, col_labels=None):
     fmt = args.format
-    if args.with_labels and fmt != "json":
-        raise MpincError("--with-labels requires --format json")
     if fmt == "csv":
         text = formats.write_csv(M)
     elif fmt == "mtx":
@@ -86,6 +83,12 @@ def _emit_matrix(M, args, row_labels=None, col_labels=None):
                 kwargs["col_labels"] = _render_labels(col_labels)
         text = formats.write_json(M, **kwargs)
     _emit(text, args.out)
+
+
+def _check_labels(args):
+    """Refuse --with-labels without JSON before the command does any work."""
+    if args.with_labels and args.format != "json":
+        raise MpincError("--with-labels requires --format json")
 
 
 def _class_values_json(values):
@@ -108,6 +111,7 @@ def _load_design(path, t):
 # subcommands
 
 def _cmd_build(args):
+    _check_labels(args)
     if args.kind == "design":
         M = build_design_incidence(parse_design(args.file), args.s)
     else:
@@ -120,6 +124,13 @@ def _cmd_mpinv(args):
     mod = args.mod
     if mod is not None and not is_prime(mod):
         raise MpincError(f"--mod {mod} is not a prime")
+    class_values = args.kind != "design" and not args.expand
+    if class_values:
+        if args.format != "json":
+            raise MpincError("class values are JSON only; use --expand for csv/mtx")
+        if args.with_labels:
+            raise MpincError("--with-labels needs a matrix output; add --expand")
+    _check_labels(args)
     row_labels = col_labels = None
     if args.kind == "design":
         D = _load_design(args.file, args.t)
@@ -142,11 +153,7 @@ def _cmd_mpinv(args):
                 )
             # reduce the r + 1 class values once; expand then reads residues
             cm = cm._replace(values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
-        if not args.expand:
-            if args.format != "json":
-                raise MpincError("class values are JSON only; use --expand for csv/mtx")
-            if args.with_labels:
-                raise MpincError("--with-labels needs a matrix output; add --expand")
+        if class_values:
             _emit(_class_values_json(cm.values), args.out)
             return EXIT_OK
         # the writers render the class values straight into the rows
@@ -163,93 +170,57 @@ def _verify_failure(message):
     return EXIT_VERIFY
 
 
-def _penrose_failure(conditions, inverse):
-    """Print the first Penrose condition that fails and return EXIT_VERIFY,
-    or None when all four hold; conditions is the report's _asdict().
+def _cmd_verify(args):
+    """Run the oracle, certify an inverse with the four Penrose conditions,
+    compare the closed form with the oracle, check the regime identities and
+    report. Each kind supplies the matrix, the inverse it certifies (None:
+    the oracle's), its closed form (None if it has none), its regime
+    identities and its report; the report's verdicts hold, as failures
+    return first.
     """
+    if args.kind == "design":
+        D = _load_design(args.file, args.t)
+        M = build_design_incidence(D, args.s).to_rat_matrix()
+        certified, inverse = None, f"the oracle inverse of M_{args.s}"
+        closed = m1_mpinv_closed_form(D) if has_closed_form(D, args.s) else None
+        regimes = {}
+        head = {"kind": "design", "file": D.name, "t": D.t, "v": D.v, "k": D.k,
+                "lambda": D.lam, "s": args.s}
+        tail = {"closed_form_matches_oracle": None if closed is None else True}
+    else:
+        n, q, r, c = args.n, args.q, args.r, args.c
+        M = build_incidence(n, q, r, c).to_rat_matrix()
+        certified = closed = expand_class_matrix(class_matrix(n, q, r, c))
+        inverse = "the closed-form inverse"
+        # name -> which identity verdict of penrose_identities it reads
+        regimes = {}
+        if n >= r + c:
+            regimes["MM*=I"] = 0
+        if n <= r + c:
+            regimes["M*M=I"] = 1
+        # a set report (q = 1) carries no field order
+        head = {"kind": args.kind, "n": n, **({"q": q} if q != 1 else {}), "r": r, "c": c}
+        tail = {
+            "matches_oracle": True,
+            "regime": "both" if len(regimes) == 2 else next(iter(regimes)),
+            "regime_identities_hold": True,
+        }
+    oracle = pseudoinverse_oracle(M)
+    report, *is_identity = penrose_identities(M, oracle if certified is None else certified)
+    conditions = report._asdict()
     for name, holds in conditions.items():
         if not holds:
             return _verify_failure(f"{name} fails for {inverse}")
-    return None
-
-
-def _oracle_mismatch(closed, oracle):
-    """Print where the closed form and the oracle first differ and return
-    EXIT_VERIFY, or None when they are equal.
-    """
-    diff = first_difference(closed, oracle)
-    if diff is None:
-        return None
-    return _verify_failure(
-        f"closed form differs from oracle at entry {diff}: "
-        f"{closed.at(*diff)} vs {oracle.at(*diff)}"
-    )
-
-
-def _cmd_verify(args):
-    if args.kind == "design":
-        return _cmd_verify_design(args)
-    n, q, r, c = args.n, args.q, args.r, args.c
-    M = build_incidence(n, q, r, c).to_rat_matrix()
-    # a set report (q = 1) carries no field order
-    params = {"n": n, "q": q, "r": r, "c": c} if q != 1 else {"n": n, "r": r, "c": c}
-
-    X = expand_class_matrix(class_matrix(n, q, r, c))
-    report, mx_is_identity, xm_is_identity = penrose_identities(M, X)
-    conditions = report._asdict()
-    failure = _penrose_failure(conditions, "the closed-form inverse")
-    if failure is None:
-        failure = _oracle_mismatch(X, pseudoinverse_oracle(M))
-    if failure is not None:
-        return failure
-    identities = {}
-    if n >= r + c:
-        identities["MM*=I"] = mx_is_identity
-    if n <= r + c:
-        identities["M*M=I"] = xm_is_identity
-    for name, ok in identities.items():
-        if not ok:
+    diff = None if closed is None else first_difference(closed, oracle)
+    if diff is not None:
+        return _verify_failure(
+            f"closed form differs from oracle at entry {diff}: "
+            f"{closed.at(*diff)} vs {oracle.at(*diff)}"
+        )
+    for name, k in regimes.items():
+        if not is_identity[k]:
             return _verify_failure(f"regime identity {name} fails")
-    regime = "both" if len(identities) == 2 else next(iter(identities))
-    doc = {
-        "kind": args.kind,
-        **params,
-        "penrose": conditions,
-        "matches_oracle": True,
-        "regime": regime,
-        "regime_identities_hold": True,
-        "ok": True,
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return EXIT_OK
-
-
-def _cmd_verify_design(args):
-    D = _load_design(args.file, args.t)
-    M = build_design_incidence(D, args.s).to_rat_matrix()
-    X = pseudoinverse_oracle(M)
-    conditions = penrose_check(M, X)._asdict()
-    failure = _penrose_failure(conditions, f"the oracle inverse of M_{args.s}")
-    if failure is not None:
-        return failure
-    closed_matches = None
-    if has_closed_form(D, args.s):
-        failure = _oracle_mismatch(m1_mpinv_closed_form(D), X)
-        if failure is not None:
-            return failure
-        closed_matches = True
-    doc = {
-        "kind": "design",
-        "file": D.name,
-        "t": D.t,
-        "v": D.v,
-        "k": D.k,
-        "lambda": D.lam,
-        "s": args.s,
-        "penrose": conditions,
-        "closed_form_matches_oracle": closed_matches,
-        "ok": True,
-    }
+    doc = {**head, "penrose": conditions, **tail, "ok": True}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -281,8 +252,8 @@ def _cmd_calc(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_output_options(p, formats_=("csv", "json", "mtx")):
-    p.add_argument("--format", choices=formats_, default="json",
+def _add_output_options(p):
+    p.add_argument("--format", choices=("csv", "json", "mtx"), default="json",
                    help="output format (default json)")
     p.add_argument("--out", help="write to this path instead of stdout")
     p.add_argument("--with-labels", action="store_true", dest="with_labels",

@@ -98,8 +98,6 @@ def parse_design(path):
             points = tuple(int(x) for x in line.split())
         except ValueError:
             raise malformed(f"non-integer point in block {line!r}", lineno)
-        if not points:
-            continue
         if min(points) < 1:
             raise malformed(f"point {min(points)} is out of range; points are 1-based", lineno)
         if any(x >= y for x, y in zip(points, points[1:])):

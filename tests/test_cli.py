@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mpinc.cli import main
+from mpinc.designs import m1_mpinv_closed_form
 from mpinc.formats import write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
@@ -166,6 +167,32 @@ def test_with_labels_requires_json(capsys):
     assert "--with-labels" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "set", "--n", "16", "--r", "4", "--c", "8", "--format", "csv",
+      "--with-labels"], "--with-labels requires --format json"),
+    (["mpinv", "set", "--n", "16", "--r", "4", "--c", "8", "--expand",
+      "--format", "mtx", "--with-labels"], "--with-labels requires --format json"),
+    (["mpinv", "design", "--file", FANO, "--s", "1", "--format", "csv",
+      "--with-labels"], "--with-labels requires --format json"),
+    (["mpinv", "design", "--file", FANO, "--s", "2", "--format", "csv",
+      "--with-labels"], "--with-labels requires --format json"),
+    (["mpinv", "set", "--n", "16", "--r", "4", "--c", "8", "--format", "csv",
+      "--with-labels"], "class values are JSON only; use --expand for csv/mtx"),
+    (["mpinv", "set", "--n", "16", "--r", "4", "--c", "8", "--with-labels"],
+     "--with-labels needs a matrix output; add --expand"),
+    (["mpinv", "set", "--n", "16", "--r", "4", "--c", "8", "--mod", "4",
+      "--format", "csv", "--with-labels"], "--mod 4 is not a prime"),
+], ids=["build-set", "mpinv-expand", "mpinv-design-closed-form",
+        "mpinv-design-oracle", "classes-csv", "classes-labels", "mod-first"])
+def test_bad_flag_combinations_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("work done before the flags were checked")
+
+    for name in ("build_incidence", "ms_mpinv_oracle", "m1_mpinv_closed_form", "labels"):
+        monkeypatch.setattr(f"mpinc.cli.{name}", refuse)
+    assert run(capsys, argv) == (2, "", f"mpinc: {message}\n")
+
+
 def test_mpinv_design_closed_form_entries(capsys):
     code, out, _ = run(capsys, ["mpinv", "design", "--file", FANO, "--s", "1"])
     assert code == 0
@@ -293,6 +320,19 @@ def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr("mpinc.cli.pseudoinverse_oracle", bumped_oracle)
     code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
     assert (code, out, err) == (1, "", "cond1 fails for the oracle inverse of M_1\n")
+
+
+def test_verify_design_closed_form_mismatch_exits_1(capsys, monkeypatch):
+    # the oracle's inverse passes all four conditions, so only the comparison
+    # with the (here perturbed) closed form can fail; entry (0, 0) is 1/3
+    def bumped_closed_form(D):
+        return add_one_at(m1_mpinv_closed_form(D), 0, 0)
+
+    monkeypatch.setattr("mpinc.cli.m1_mpinv_closed_form", bumped_closed_form)
+    code, out, err = run(capsys, ["verify", "design", "--file", FANO, "--s", "1"])
+    assert (code, out, err) == (
+        1, "", "closed form differs from oracle at entry (0, 0): 4/3 vs 1/3\n"
+    )
 
 
 def test_repeated_blocks_take_the_skeleton_route(capsys, tmp_path):
