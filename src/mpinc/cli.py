@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -47,11 +48,23 @@ EXIT_USAGE = 2
 EXIT_CHARACTERISTIC = 3
 
 
-def _emit(text, out_path):
+def _emit(chunks, out_path):
+    """Write an iterable of text chunks to the --out file or to stdout as
+    they come. The file is opened only now, after the writer has made every
+    refusal, so a refused command leaves no file behind."""
     if out_path:
-        Path(out_path).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+        with open(out_path, "w", encoding="ascii") as f:
+            f.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (as with `| head`): point stdout at devnull so
+        # the flush at exit cannot raise again, and end as if all was read
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _render_labels(labels):
@@ -71,9 +84,9 @@ def _render_labels(labels):
 def _emit_matrix(M, args, row_labels=None, col_labels=None):
     fmt = args.format
     if fmt == "csv":
-        text = formats.write_csv(M)
+        chunks = formats.write_csv(M)
     elif fmt == "mtx":
-        text = formats.write_mtx(M)
+        chunks = formats.write_mtx(M)
     else:
         kwargs = {}
         if args.with_labels:
@@ -81,8 +94,8 @@ def _emit_matrix(M, args, row_labels=None, col_labels=None):
                 kwargs["row_labels"] = _render_labels(row_labels)
             if col_labels is not None:
                 kwargs["col_labels"] = _render_labels(col_labels)
-        text = formats.write_json(M, **kwargs)
-    _emit(text, args.out)
+        chunks = formats.write_json(M, **kwargs)
+    _emit(chunks, args.out)
 
 
 def _check_labels(args):
@@ -154,7 +167,7 @@ def _cmd_mpinv(args):
             # reduce the r + 1 class values once; expand then reads residues
             cm = cm._replace(values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
         if class_values:
-            _emit(_class_values_json(cm.values), args.out)
+            _emit([_class_values_json(cm.values)], args.out)
             return EXIT_OK
         # the writers render the class values straight into the rows
         X = cm
@@ -221,7 +234,7 @@ def _cmd_verify(args):
         if not is_identity[k]:
             return _verify_failure(f"regime identity {name} fails")
     doc = {**head, "penrose": conditions, **tail, "ok": True}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -235,7 +248,7 @@ def _cmd_survey(args):
     if not files:
         raise MpincError(f"{args.dir} contains no design files")
     report = survey_designs([_load_design(path, args.t) for path in files], args.s)
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    _emit([json.dumps(report.to_json_dict(), indent=2) + "\n"], args.out)
     return EXIT_OK
 
 

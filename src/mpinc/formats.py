@@ -4,6 +4,12 @@ coordinate pattern for 0/1 incidence matrices.
 The writers take a ClassMatrix, an IncidenceMatrix or a RatMatrix and
 render rows of strings straight from it. Rationals render as "num/den" with
 the denominator omitted when it is 1.
+
+Each writer returns an iterator of text chunks: a header, if the format has
+one, then one chunk per row, so a caller can write a matrix while holding
+one row of text; "".join(chunks) is the whole file. A writer raises any
+refusal when it is called, before it returns, so a refused matrix writes
+no byte.
 """
 
 import json
@@ -39,12 +45,18 @@ def _indicator(support, cols):
 
 
 def write_csv(M):
-    return "\n".join(map(",".join, _text_rows(M))) + "\n"
+    """One line of comma-joined entries per row; a matrix with no rows is
+    one empty line."""
+    rows = _text_rows(M)
+    if not M.rows:
+        return iter(["\n"])
+    return (",".join(row) + "\n" for row in rows)
 
 
 def write_json(M, row_labels=None, col_labels=None):
-    """The bytes of json.dumps(doc, indent=2) + "\n" for the document with
-    rows, cols, entries and the labels given, entries joined row by row.
+    """The chunks of json.dumps(doc, indent=2) + "\\n" for the document with
+    rows, cols, entries and the labels given: the text up to the entries,
+    one chunk per row, then the rest.
 
     Rationals need no JSON escaping, so an entry is its string in quotes.
     The labels still go through json.dumps.
@@ -54,28 +66,39 @@ def write_json(M, row_labels=None, col_labels=None):
         doc["row_labels"] = row_labels
     if col_labels is not None:
         doc["col_labels"] = col_labels
-    head, _, tail = json.dumps(doc, indent=2).partition('"entries": []')
-    rows = [
-        '[\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "[]"
-        for row in _text_rows(M)
-    ]
-    entries = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return head + '"entries": ' + entries + tail + "\n"
+    head, entries, tail = json.dumps(doc, indent=2).partition('"entries": []')
+    rows = _text_rows(M)
+    if not M.rows:
+        return iter([head + entries + tail + "\n"])
+    return chain([head + '"entries": ['], _json_rows(rows), ["\n  ]" + tail + "\n"])
+
+
+def _json_rows(rows):
+    sep = "\n    "
+    for row in rows:
+        yield sep + ('[\n      "' + '",\n      "'.join(row) + '"\n    ]' if row else "[]")
+        sep = ",\n    "
 
 
 def write_mtx(M):
-    """Matrix Market coordinate pattern (1-based); 0/1 matrices only."""
+    """Matrix Market coordinate pattern (1-based); 0/1 matrices only.
+
+    The support is read before the first chunk, so the header carries the
+    nonzero count and a matrix that is not 0/1 is refused up front.
+    """
     support = M.row_support if isinstance(M, IncidenceMatrix) else _pattern_support(M)
-    col_text = [str(j) for j in range(1, M.cols + 1)]
-    lines = [
-        "%%MatrixMarket matrix coordinate pattern general",
-        f"{M.rows} {M.cols} {sum(map(len, support))}",
-    ]
+    header = (
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        f"{M.rows} {M.cols} {sum(map(len, support))}\n"
+    )
+    return chain([header], _mtx_rows(support, [f"{j}\n" for j in range(1, M.cols + 1)]))
+
+
+def _mtx_rows(support, col_lines):
     for i, cols in enumerate(support, start=1):
         if cols:
             prefix = f"{i} "
-            lines.append(prefix + ("\n" + prefix).join(map(col_text.__getitem__, cols)))
-    return "\n".join(lines) + "\n"
+            yield prefix + prefix.join(map(col_lines.__getitem__, cols))
 
 
 def _pattern_support(M):

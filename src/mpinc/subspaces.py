@@ -274,19 +274,20 @@ def class_matrix(n, q, r, c):
 
 
 def class_rows(cm, values):
-    """Yield each row of the expansion of cm, in label order: the entry
-    (C, R) is values[i] where R and C share [i]_q points.
+    """An iterator over the rows of the expansion of cm, in label order: the
+    entry (C, R) is values[i] where R and C share [i]_q points.
 
     Pass cm.values for the rationals themselves, or any r + 1 stand-ins
-    (their strings, say) to map each class once.
+    (their strings, say) to map each class once. The labels are enumerated
+    before this returns, so an enumeration refusal comes at the call; the
+    rows are made one at a time.
     """
     # the entry for [i]_q shared points is values[i]
     by_size = {_gbinom(i, 1, cm.q): value for i, value in enumerate(values)}
     pick = by_size.__getitem__
     row_sets = _point_sets(cm.q, labels(cm.n, cm.q, cm.c))
     col_sets = _point_sets(cm.q, labels(cm.n, cm.q, cm.r))
-    for sizes in meet_sizes(row_sets, col_sets):
-        yield list(map(pick, sizes))
+    return (list(map(pick, sizes)) for sizes in meet_sizes(row_sets, col_sets))
 
 
 def expand_class_matrix(cm):

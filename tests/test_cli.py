@@ -470,6 +470,60 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text()) == {"i=1": "1/3", "i=0": "-1/6"}
+    # a streamed matrix reaches the file with the bytes it has on stdout
+    for argv in (
+        "build set --n 6 --r 2 --c 3 --format mtx",
+        "mpinv set --n 6 --r 2 --c 3 --expand --format csv",
+        "mpinv subspace --n 3 --q 2 --r 1 --c 2 --expand --format json --with-labels",
+    ):
+        code, stdout, _ = run(capsys, argv.split())
+        assert code == 0 and stdout
+        target = tmp_path / "matrix"
+        code, out, _ = run(capsys, [*argv.split(), "--out", str(target)])
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == stdout.encode("ascii"), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("mpinv subspace --n 2 --q 11 --r 1 --c 1 --expand --format csv",
+     "enumeration is capped at q <= 9, got q=11"),
+    ("mpinv subspace --n 2 --q 11 --r 1 --c 1 --expand --format json",
+     "enumeration is capped at q <= 9, got q=11"),
+    ("mpinv set --n 4 --r 1 --c 2 --expand --format mtx",
+     "Matrix Market pattern output needs a 0/1 matrix; entry (0,0) = 1/3"),
+])
+def test_refused_matrix_writes_nothing(capsys, tmp_path, argv, message):
+    # the writers refuse before the first chunk, and --out is opened only
+    # after that: no file is made and an existing one is left as it was
+    target = tmp_path / "refused"
+    for before in (None, "kept\n"):
+        if before is not None:
+            target.write_text(before)
+        for out_args in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, [*argv.split(), *out_args])
+            assert (code, out, err) == (2, "", f"mpinc: {message}\n")
+            if before is None:
+                assert not target.exists()
+            else:
+                assert target.read_text() == before
+
+
+def test_closed_stdout_pipe_exits_0():
+    # like `| head -n 1`: the reader keeps the first line of a 2.8 MB csv
+    # and closes the pipe while the writer still has rows to write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mpinc", "mpinv", "set", "--n", "12", "--r", "4", "--c", "6",
+         "--expand", "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert first.startswith(b"1/28,") and first.endswith(b"\n")
 
 
 def test_missing_input_file_is_usage_error(capsys, tmp_path):
@@ -515,4 +569,4 @@ def test_mod_p_reduces_class_values(capsys, p):
         assert json.loads(out) == {f"i={i}": str(rat_mod_p(x, p)) for i, x in enumerate(cm.values)}
         code, out, err = run(capsys, [*argv, "--expand", "--format", "csv"])
         assert (code, err) == (0, "")
-        assert out == write_csv(rat_matrix_mod_p(expand_class_matrix(cm), p))
+        assert out == "".join(write_csv(rat_matrix_mod_p(expand_class_matrix(cm), p)))

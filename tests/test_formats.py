@@ -27,7 +27,7 @@ SAMPLE = RatMatrix.from_rows(
 
 def render(x):
     # a rational as write_csv renders it in a 1 x 1 matrix
-    return write_csv(RatMatrix.from_rows([[x]])).rstrip("\n")
+    return "".join(write_csv(RatMatrix.from_rows([[x]]))).rstrip("\n")
 
 
 def test_format_rational():
@@ -37,18 +37,18 @@ def test_format_rational():
 
 
 def test_csv_round_trip():
-    text = write_csv(SAMPLE)
+    text = "".join(write_csv(SAMPLE))
     assert text == "1/3,-1/6\n0,2\n"
     assert read_csv(text) == SAMPLE
 
 
 def test_json_round_trip():
-    text = write_json(SAMPLE)
+    text = "".join(write_json(SAMPLE))
     assert read_json(text) == SAMPLE
 
 
 def test_json_labels_preserved():
-    text = write_json(SAMPLE, row_labels=["a", "b"], col_labels=["x", "y"])
+    text = "".join(write_json(SAMPLE, row_labels=["a", "b"], col_labels=["x", "y"]))
     doc = json.loads(text)
     assert doc["rows"] == 2 and doc["cols"] == 2
     assert doc["entries"][0] == ["1/3", "-1/6"]
@@ -59,7 +59,7 @@ def test_json_labels_preserved():
 
 def test_mtx_round_trip_set_incidence():
     inc = build_incidence(3, 1, 1, 2)
-    text = write_mtx(inc.to_rat_matrix())
+    text = "".join(write_mtx(inc.to_rat_matrix()))
     lines = text.splitlines()
     assert lines[0] == "%%MatrixMarket matrix coordinate pattern general"
     assert lines[1] == "3 3 6"
@@ -70,19 +70,20 @@ def test_mtx_round_trip_set_incidence():
 
 def test_mtx_round_trip_subspace_incidence():
     inc = build_incidence(3, 2, 1, 2)
-    back = read_mtx(write_mtx(inc.to_rat_matrix()))
+    back = read_mtx("".join(write_mtx(inc.to_rat_matrix())))
     assert back.to_rat_matrix() == inc.to_rat_matrix()
 
 
 def test_mtx_entries_one_based_and_sorted():
     inc = build_incidence(3, 1, 1, 2)
-    body = write_mtx(inc.to_rat_matrix()).splitlines()[2:]
+    body = "".join(write_mtx(inc.to_rat_matrix())).splitlines()[2:]
     pairs = [tuple(map(int, ln.split())) for ln in body]
     assert min(min(p) for p in pairs) == 1
     assert pairs == sorted(pairs)
 
 
 def test_mtx_rejects_non_01_matrix():
+    # the call itself refuses, before it hands back a chunk
     with pytest.raises(ParameterError):
         write_mtx(SAMPLE)
     # the refusal names the first entry that is neither 0 nor 1
@@ -108,7 +109,7 @@ FAMILY_CASES = list(_family_cases())
 def _written(write, M, **kwargs):
     # the writer's text, or the message it refuses with
     try:
-        return write(M, **kwargs)
+        return "".join(write(M, **kwargs))
     except ParameterError as exc:
         return f"refused: {exc}"
 
@@ -131,8 +132,8 @@ def test_class_matrix_writers_match_the_expansion(p):
             assert _written(write, cm) == _written(write, X), (write.__name__, n, q, r, c)
         row_labels = _render_labels(labels(n, q, c))
         col_labels = _render_labels(labels(n, q, r))
-        assert write_json(cm, row_labels=row_labels, col_labels=col_labels) == write_json(
-            X, row_labels=row_labels, col_labels=col_labels
+        assert _written(write_json, cm, row_labels=row_labels, col_labels=col_labels) == _written(
+            write_json, X, row_labels=row_labels, col_labels=col_labels
         )
         checked += 1
     assert checked > 100
@@ -143,7 +144,7 @@ def test_incidence_writers_match_the_dense_matrix():
         M = build_incidence(n, q, r, c)
         A = M.to_rat_matrix()
         for write in (write_csv, write_json, write_mtx):
-            assert write(M) == write(A), (write.__name__, n, q, r, c)
+            assert "".join(write(M)) == "".join(write(A)), (write.__name__, n, q, r, c)
 
 
 def _json_reference(M, rows, **labels):
@@ -152,15 +153,39 @@ def _json_reference(M, rows, **labels):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv_reference(rows):
+    # the lines of comma-joined entries, each ended by a newline; with no
+    # rows, the one empty line
+    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+
+
+def _mtx_reference(M, rows):
+    # the header, the shape with the nonzero count, then "i j" (1-based) for
+    # each nonzero in row-major order; None for a matrix that is not 0/1
+    if any(x not in (0, 1) for row in rows for x in row):
+        return None
+    pairs = [f"{i} {j}" for i, row in enumerate(rows, 1) for j, x in enumerate(row, 1) if x]
+    header = ["%%MatrixMarket matrix coordinate pattern general", f"{M.rows} {M.cols} {len(pairs)}"]
+    return "\n".join(header + pairs) + "\n"
+
+
 @pytest.mark.parametrize("rows, cols", [(0, 0), (2, 0), (0, 2), (1, 1), (2, 3)])
 def test_write_json_is_json_dumps_on_edge_shapes(rows, cols):
     X = RatMatrix(rows, cols, tuple(Fraction(i - 2, 3) for i in range(rows * cols)))
     M = IncidenceMatrix(rows, cols, tuple(tuple(range(i % 2, cols, 2)) for i in range(rows)))
     labels = {"row_labels": [[i] for i in range(rows)], "col_labels": ["a"] * cols}
     for A, dense in ((X, X), (M, M.to_rat_matrix())):
-        assert write_json(A) == _json_reference(A, dense.to_rows())
-        assert write_json(A, **labels) == _json_reference(A, dense.to_rows(), **labels)
-        assert write_json(A, row_labels=[]) == _json_reference(A, dense.to_rows(), row_labels=[])
+        entries = dense.to_rows()
+        assert "".join(write_json(A)) == _json_reference(A, entries)
+        assert "".join(write_json(A, **labels)) == _json_reference(A, entries, **labels)
+        assert "".join(write_json(A, row_labels=[])) == _json_reference(A, entries, row_labels=[])
+        assert "".join(write_csv(A)) == _csv_reference(entries)
+        expected = _mtx_reference(A, entries)
+        if expected is None:
+            with pytest.raises(ParameterError):
+                write_mtx(A)
+        else:
+            assert "".join(write_mtx(A)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,7 +207,7 @@ def test_write_json_is_json_dumps(shape, row_labels, col_labels):
         labels["row_labels"] = row_labels
     if col_labels is not None:
         labels["col_labels"] = col_labels
-    assert write_json(X, **labels) == _json_reference(X, rows, **labels)
+    assert "".join(write_json(X, **labels)) == _json_reference(X, rows, **labels)
 
 
 def _no_rat_matrix(self, *fields):

@@ -479,4 +479,4 @@ def test_reduction_mod_p_is_canonical(shape, p):
 @given(fraction_rows(rows=st.integers(1, 4), cols=st.integers(1, 4)))
 def test_csv_round_trip_is_canonical(shape):
     cols, rows = shape
-    assert_canonical(read_csv(write_csv(rat(cols, rows))), rows)
+    assert_canonical(read_csv("".join(write_csv(rat(cols, rows)))), rows)
