@@ -14,7 +14,6 @@ from mpinc import (
     penrose_check,
     pseudoinverse_oracle,
     survey_designs,
-    validate_design,
     validated_design,
 )
 
@@ -24,12 +23,10 @@ D = parse_design("samples/fano/fano.blk")
 print(f"{D.name}: v={D.v}, b={D.b}, k={D.k}, declared {D.declared}")
 
 # validation counts containing blocks for every t-subset, exhaustively
-res = validate_design(D, 2)
-print(f"is a 2-design: {res.valid}, lambda = {res.lam}")
-print("derived replication numbers:",
-      {s: lambda_s(2, D.v, D.k, res.lam, s) for s in (0, 1, 2)})
-
 V = validated_design(D, 2)
+print(f"is a 2-design: {V.is_validated}, lambda = {V.lam}")
+print("derived replication numbers:",
+      {s: lambda_s(2, D.v, D.k, V.lam, s) for s in (0, 1, 2)})
 
 # the point-block incidence M_1 has a closed-form pseudoinverse:
 # 1/lambda_1 on incident pairs, -(1/lambda_1)(k-1)/(v-k) elsewhere

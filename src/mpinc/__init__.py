@@ -19,14 +19,12 @@ from .combinat import (
 from .designs import (
     Design,
     SurveyReport,
-    ValidationResult,
     build_design_incidence,
     lambda_s,
     m1_mpinv_closed_form,
     ms_mpinv_oracle,
     parse_design,
     survey_designs,
-    validate_design,
     validated_design,
 )
 from .formats import (
@@ -123,9 +121,7 @@ __all__ = [
     "count_contained_with_intersection",
     "Design",
     "SurveyReport",
-    "ValidationResult",
     "parse_design",
-    "validate_design",
     "validated_design",
     "lambda_s",
     "build_design_incidence",

@@ -43,17 +43,6 @@ class Design(namedtuple(
         return self.t is not None and self.lam is not None
 
 
-class ValidationResult(namedtuple(
-    "ValidationResult", "valid t v k lam witness", defaults=(None, None)
-)):
-    """Outcome of validate_design: lam when valid, a witness pair otherwise.
-
-    The witness is ((T1, count1), (T2, count2)) with count1 != count2.
-    """
-
-    __slots__ = ()
-
-
 def parse_design(path):
     """Read the design file at path into an unvalidated Design named after
     the file.
@@ -127,11 +116,13 @@ def parse_design(path):
     return Design(v=max_point, blocks=tuple(blocks), k=k, name=label)
 
 
-def validate_design(D, t):
-    """Exhaustively count containing blocks for every t-subset of [v].
+def validated_design(D, t):
+    """D with (t, lam) attached once every t-subset of [v] has been counted
+    and lies in the same number lam of blocks.
 
-    Returns ValidationResult with lam when the count is constant, otherwise
-    valid=False and a witness pair of t-subsets with different counts.
+    ParameterError otherwise, naming the lexicographically first t-subsets
+    of the two smallest counts. When the file header declared a lambda for
+    this t, the declared value is cross-checked against the count.
     """
     if not (1 <= t <= D.k):
         raise ParameterError(f"{D.name}: need 1 <= t <= k = {D.k}, got t={t}")
@@ -139,36 +130,21 @@ def validate_design(D, t):
     distinct = {}
     for T, holders in zip(subsets, inclusion_support(subsets, D.blocks)):
         distinct.setdefault(len(holders), T)
-    if len(distinct) == 1:
-        lam = next(iter(distinct))
-        return ValidationResult(valid=True, t=t, v=D.v, k=D.k, lam=lam)
-    (c1, T1), (c2, T2) = sorted(distinct.items())[:2]
-    return ValidationResult(
-        valid=False, t=t, v=D.v, k=D.k, witness=((T1, c1), (T2, c2))
-    )
-
-
-def validated_design(D, t):
-    """D with (t, lam) attached; ParameterError if it is not a t-design.
-
-    When the file header declared a lambda for this t, the declared value is
-    cross-checked against the exhaustive count.
-    """
-    result = validate_design(D, t)
-    if not result.valid:
-        (T1, c1), (T2, c2) = result.witness
+    if len(distinct) > 1:
+        (c1, T1), (c2, T2) = sorted(distinct.items())[:2]
         raise ParameterError(
             f"{D.name}: not a {t}-design; {T1} lies in {c1} blocks "
             f"but {T2} lies in {c2}"
         )
+    (lam,) = distinct
     if D.declared is not None:
         t_decl, _, _, lam_decl = D.declared
-        if t_decl == t and lam_decl != result.lam:
+        if t_decl == t and lam_decl != lam:
             raise ParameterError(
                 f"{D.name}: header declares lambda = {lam_decl} but counting "
-                f"gives {result.lam}"
+                f"gives {lam}"
             )
-    return D._replace(t=t, lam=result.lam)
+    return D._replace(t=t, lam=lam)
 
 
 def lambda_s(t, v, k, lam, s):
@@ -334,7 +310,8 @@ def _survey_one(D, s):
 def survey_designs(designs, s):
     """Compute M_s^+ for each design and report entry classes by |R intersect B|.
 
-    All designs must be validated with identical (t, v, k, lam); s <= k.
+    All designs must be validated with identical (t, v, k, lam);
+    build_design_incidence refuses an s outside 0 <= s <= k.
     """
     designs = list(designs)
     if not designs:
@@ -346,8 +323,6 @@ def survey_designs(designs, s):
     if len(params) > 1:
         raise ParameterError(f"designs have mixed parameters: {sorted(params)}")
     (t, v, k, lam) = params.pop()
-    if not (0 <= s <= k):
-        raise ParameterError(f"need 0 <= s <= k = {k}, got s={s}")
 
     results = [_survey_one(D, s) for D in designs]
 

@@ -142,6 +142,19 @@ def test_build_rejects_bad_parameters(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("mpinc:")
+    # s above the block size: build refuses it, and so does the survey
+    refused = (2, "", "mpinc: need 0 <= s <= k = 3, got s=4\n")
+    assert run(capsys, ["build", "design", "--file", FANO, "--s", "4"]) == refused
+    assert run(capsys, ["survey", "--dir", "samples/fano", "--s", "4"]) == refused
+    # a flag that is not an integer is refused by the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "subspace", "--n", "3", "--q", "abc", "--r", "1", "--c", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "mpinc verify subspace: error: argument --q: invalid int value: 'abc'\n"
+    )
 
 
 def test_build_subspace_with_labels_json(capsys):
@@ -378,6 +391,10 @@ def test_survey_exit_codes(capsys, tmp_path):
     empty.mkdir()
     code, _, err = run(capsys, ["survey", "--dir", str(empty), "--s", "1"])
     assert code == 2
+
+    assert run(capsys, ["survey", "--dir", FANO, "--s", "1"]) == (
+        2, "", f"mpinc: {FANO} is not a directory\n"
+    )
 
 
 def test_survey_bad_file_names_the_file(capsys, tmp_path):

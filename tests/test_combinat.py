@@ -117,6 +117,17 @@ def test_q_ruiz_sum_at_degree_n():
     assert q_ruiz_sum(1, 1, 2) == -1
 
 
+def test_sums_reject_bad_args():
+    with pytest.raises(ParameterError, match=r"^ruiz_sum needs n >= 1, got 0$"):
+        ruiz_sum(0, (1,))
+    with pytest.raises(ParameterError, match=r"^q_ruiz_sum needs n >= 1, got 0$"):
+        q_ruiz_sum(0, 1, 2)
+    with pytest.raises(ParameterError, match=r"^q_ruiz_sum needs m >= 0, got -1$"):
+        q_ruiz_sum(2, -1, 2)
+    with pytest.raises(ParameterError, match=r"^need n >= 1, got 0$"):
+        gauss_binomial_formula_check(0, 1, 1, 2)
+
+
 def test_gauss_binomial_formula_examples():
     assert gauss_binomial_formula_check(1, 1, 1, 2)
     assert gauss_binomial_formula_check(2, 1, 1, 2)

@@ -1,3 +1,5 @@
+import re
+from ast import literal_eval
 from collections import Counter
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from mpinc.combinat import all_subsets
 from mpinc.designs import (
     Design,
+    SurveyReport,
     _survey_one,
     build_design_incidence,
     entry_classes,
@@ -14,7 +17,6 @@ from mpinc.designs import (
     ms_mpinv_oracle,
     parse_design,
     survey_designs,
-    validate_design,
     validated_design,
 )
 from mpinc.errors import DesignParseError, ParameterError
@@ -41,6 +43,11 @@ def design_file(tmp_path):
     return write
 
 
+def fano_under(first_line):
+    """The Fano plane's blocks as design file text under the given first line."""
+    return first_line + "\n" + "\n".join(" ".join(map(str, B)) for B in parse_design(FANO).blocks)
+
+
 def test_parse_fano():
     D = parse_design(FANO)
     assert (D.v, D.b, D.k) == (7, 7, 3)
@@ -60,6 +67,16 @@ def test_parse_infers_v_without_header(design_file):
 def test_parse_skips_blanks_and_late_comments(design_file):
     D = parse_design(design_file("1 2\n\n# a remark\n2 3\n"))
     assert D.b == 2
+
+
+@pytest.mark.parametrize("header", [
+    "# t v k lambda", "# 2 7 3 x", "# a b c d", "# 2 7 3", "# 2 7 3 1 0",
+], ids=["template", "non-integer-lambda", "four-words", "three-ints", "five-ints"])
+def test_first_line_that_is_not_four_integers_is_a_comment(design_file, header):
+    # the header is exactly four integers; any other first "#" line is skipped
+    D = parse_design(design_file(fano_under(header)))
+    assert D.declared is None
+    assert (D.v, D.b, D.k) == (7, 7, 3)
 
 
 def test_parse_error_point_exceeds_declared_v(design_file):
@@ -101,30 +118,27 @@ def test_parse_error_nonpositive_point(design_file):
 
 def test_validate_fano():
     D = parse_design(FANO)
-    res = validate_design(D, 2)
-    assert res.valid
-    assert (res.t, res.v, res.k, res.lam) == (2, 7, 7, 3) or (
-        res.t,
-        res.v,
-        res.k,
-        res.lam,
-    ) == (2, 7, 3, 1)
-    assert res.lam == 1
-    assert res.witness is None
+    V = validated_design(D, 2)
+    assert (V.t, V.v, V.k, V.lam) == (2, 7, 3, 1)
+    assert V == D._replace(t=2, lam=1)
 
 
 def test_validate_fano_t1():
-    res = validate_design(parse_design(FANO), 1)
-    assert res.valid and res.lam == 3
+    V = validated_design(parse_design(FANO), 1)
+    assert (V.t, V.lam) == (1, 3)
 
 
 def test_validate_broken_design_gives_witness():
     D = parse_design(FANO)
     broken = Design(v=7, blocks=D.blocks[:-1], k=3, name="broken")
-    res = validate_design(broken, 2)
-    assert not res.valid
-    assert res.witness is not None
-    (T1, c1), (T2, c2) = res.witness
+    with pytest.raises(ParameterError) as exc:
+        validated_design(broken, 2)
+    found = re.fullmatch(
+        r"broken: not a 2-design; (\(.*?\)) lies in (\d+) blocks but (\(.*?\)) lies in (\d+)",
+        str(exc.value),
+    )
+    assert found
+    T1, c1, T2, c2 = literal_eval(found[1]), int(found[2]), literal_eval(found[3]), int(found[4])
     assert c1 != c2
     cover = lambda T: sum(1 for B in broken.blocks if set(T) <= set(B))
     assert cover(T1) == c1 and cover(T2) == c2
@@ -143,13 +157,25 @@ def test_validated_design_rejects_invalid():
 
 
 def test_validated_design_checks_declared_lambda(design_file):
-    src = "# 2 7 3 9\n" + "\n".join(
-        " ".join(map(str, B)) for B in parse_design(FANO).blocks
-    )
-    D = parse_design(design_file(src))
+    D = parse_design(design_file(fano_under("# 2 7 3 9")))
     assert D.declared == (2, 7, 3, 9)
     with pytest.raises(ParameterError):
         validated_design(D, 2)
+
+
+def test_validated_design_refusal_text(design_file):
+    fano = parse_design(FANO)
+    broken = Design(v=7, blocks=fano.blocks[:-1], k=3, name="broken")
+    cases = [
+        (broken, 2, "broken: not a 2-design; (5, 6) lies in 0 blocks but (1, 2) lies in 1"),
+        (parse_design(design_file(fano_under("# 2 7 3 9"), name="fano9.blk")), 2,
+         "fano9.blk: header declares lambda = 9 but counting gives 1"),
+        (fano, 4, "fano.blk: need 1 <= t <= k = 3, got t=4"),
+    ]
+    for D, t, message in cases:
+        with pytest.raises(ParameterError) as exc:
+            validated_design(D, t)
+        assert str(exc.value) == message
 
 
 def test_lambda_s_values():
@@ -157,6 +183,8 @@ def test_lambda_s_values():
     assert lambda_s(2, 7, 3, 1, 1) == 3
     assert lambda_s(2, 7, 3, 1, 2) == 1
     assert lambda_s(2, 7, 4, 2, 1) == 4
+    with pytest.raises(ParameterError, match=r"^need 0 <= s <= t, got s=3, t=2$"):
+        lambda_s(2, 7, 3, 1, 3)
 
 
 def test_lambda_s_nonintegral_warns():
@@ -276,6 +304,19 @@ def test_entry_classes_flags_deviations():
     classes, exceptions = entry_classes("toy", blocks, subsets, X)
     assert classes[1] == (Fraction(5), Fraction(7))
     assert exceptions == [("toy", 0, (2,), Fraction(7))]
+    A = RatMatrix.from_rows([[1, 0], [1, 0], [0, 1], [0, 1]])
+    report = SurveyReport(
+        s=1,
+        parameters=(1, 4, 2, 1),
+        design_names=("toy",),
+        classes=(classes,),
+        penrose=(penrose_check(A, X),),
+        cross_design={1: "agree", 0: "agree"},
+        exceptions=tuple(exceptions),
+    )
+    assert report.to_json_dict()["exceptions"] == [
+        {"design": "toy", "block": 0, "subset": [2], "entry": "7"}
+    ]
 
 
 def test_entry_classes_modal_tie_prefers_smaller():
@@ -334,6 +375,8 @@ def test_survey_s2_constant():
 def test_survey_rejects_unvalidated():
     with pytest.raises(ParameterError):
         survey_designs([parse_design(FANO)], 1)
+    with pytest.raises(ParameterError, match=r"^survey needs at least one design$"):
+        survey_designs([], 1)
 
 
 def test_survey_rejects_mixed_parameters():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mpinc.designs import parse_design, survey_designs, validate_design, validated_design
+from mpinc.designs import parse_design, survey_designs, validated_design
 from mpinc.errors import ShapeError
 from mpinc.gf import GFMatrix, build_field
 from mpinc.linalg import RatMatrix, penrose_check
@@ -39,7 +39,6 @@ RECORDS = {
     "ClassMatrix": lambda: class_matrix(4, 1, 1, 2),
     "GFMatrix": _gf_matrix,
     "Design": lambda: parse_design(FANO),
-    "ValidationResult": lambda: validate_design(parse_design(FANO), 2),
     "SurveyReport": lambda: survey_designs([validated_design(parse_design(FANO), 2)], 1),
 }
 
@@ -102,3 +101,5 @@ def test_matrix_records_check_their_shape():
         RatMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ShapeError, match="int rows do not form a 2x2 matrix"):
         RatMatrix.from_ints(2, 2, [[1, 2], [3]])
+    with pytest.raises(ShapeError, match=r"^negative dimensions$"):
+        RatMatrix(-1, 2, ())

@@ -32,6 +32,8 @@ def test_subset_rank_validates():
         subset_rank((1,), 4, 2)
     with pytest.raises(ParameterError):
         subset_rank((0, 1), 4, 2)
+    with pytest.raises(ParameterError, match=r"^need 0 <= r <= n, got r=4, n=3$"):
+        all_subsets(3, 4)
 
 
 def test_rank_unrank_inverse_exhaustive():
