@@ -28,10 +28,7 @@ print(f"subspaces of GF({q})^{n}: canonical reduced-row-echelon bases")
 lines = enumerate_subspaces(n, q, r)
 print(f"[{n} choose {r}]_{q} = {gaussian_binomial(n, r, q)} lines:")
 for L in lines:
-    vecs = [
-        "(" + ",".join(render_element(x, L.field) for x in L.basis.row(i)) + ")"
-        for i in range(L.dim)
-    ]
+    vecs = ["(" + ",".join(render_element(x, L.field) for x in row) + ")" for row in L.basis]
     print("  span", " ".join(vecs), " pivots", L.pivots)
 
 M = build_incidence(n, q, r, c)

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .gf import (
     FieldSpec,
-    GFMatrix,
     build_field,
     gf_add,
     gf_mul,
@@ -93,7 +92,6 @@ __all__ = [
     "q_ruiz_sum",
     "gauss_binomial_formula_check",
     "FieldSpec",
-    "GFMatrix",
     "build_field",
     "gf_add",
     "gf_mul",

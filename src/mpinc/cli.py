@@ -72,10 +72,7 @@ def _render_labels(labels):
     for label in labels:
         if hasattr(label, "basis"):
             f = label.field
-            rendered.append(
-                [[render_element(x, f) for x in label.basis.row(i)]
-                 for i in range(label.basis.rows)]
-            )
+            rendered.append([[render_element(x, f) for x in row] for row in label.basis])
         else:
             rendered.append(list(label))
     return rendered
@@ -381,10 +378,7 @@ def main(argv=None):
     except (CharacteristicError, NotReducibleError) as exc:
         print(f"mpinc: {exc}", file=sys.stderr)
         return EXIT_CHARACTERISTIC
-    except MpincError as exc:
-        print(f"mpinc: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (MpincError, OSError) as exc:
         print(f"mpinc: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -204,7 +204,7 @@ def m1_mpinv_closed_form(D):
     d, values = scaled_ints((-inc * Fraction(D.k - 1, D.v - D.k), inc))
     rows = [list(map(values.__getitem__, sizes))
             for sizes in meet_sizes(D.blocks, all_subsets(D.v, 1))]
-    return RatMatrix.from_ints(D.b, D.v, rows, d)
+    return RatMatrix(D.b, D.v, d, rows)
 
 
 def ms_mpinv_oracle(D, s):

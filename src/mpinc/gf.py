@@ -1,4 +1,4 @@
-"""GF(q) arithmetic for prime powers q, and matrices over GF(q).
+"""GF(q) arithmetic for prime powers q.
 
 Elements are little-endian coefficient tuples of length e over GF(p),
 q = p^e. The field model is pinned: the modulus is the lexicographically
@@ -8,11 +8,10 @@ tables are built for enumeration work only (q <= 9). factor_prime_power
 accepts any prime power, so class values need no tables.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidFieldError, ShapeError
+from .errors import InvalidFieldError
 from .rationals import is_prime
 
 
@@ -148,19 +147,3 @@ def render_element(a, f):
     if f.e == 1:
         return str(a[0])
     return "[" + ",".join(str(c) for c in a) + "]"
-
-
-class GFMatrix(namedtuple("GFMatrix", "rows cols entries")):
-    """Row-major matrix of field elements."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows, cols, entries):
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        return tuple.__new__(cls, (rows, cols, entries))
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]

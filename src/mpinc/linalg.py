@@ -44,26 +44,18 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
 
     nums holds the rows of den * A as tuples of ints, and den > 0 is the
     lcm of the reduced denominators of the entries that occur, so == and
-    hash compare matrices. RatMatrix(rows, cols, entries) takes row-major
-    rationals; from_ints takes int rows and a denominator.
+    hash compare matrices. RatMatrix(rows, cols, den, nums) takes int rows
+    nums and an int den != 0 and brings them to that form; from_rows takes
+    rows of rationals.
     """
 
     __slots__ = ()
 
-    def __new__(cls, rows, cols, entries):
+    def __new__(cls, rows, cols, den, nums):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ShapeError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        den, flat = scaled_ints(entries)
-        return cls._fill(rows, cols, den, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
-
-    @classmethod
-    def from_ints(cls, rows, cols, nums, den=1):
-        """The rows x cols matrix nums / den, for int rows nums and an int
-        den != 0, brought to canonical form."""
+        if not den:
+            raise ParameterError(f"denominator must be nonzero, got den={den}")
         if den != 1:
             g = gcd(den, *chain.from_iterable(nums))
             if den < 0:
@@ -71,18 +63,9 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
             if g != 1:
                 den //= g
                 nums = [tuple([v // g for v in row]) for row in nums]
-        return cls._fill(rows, cols, den, nums)
-
-    @classmethod
-    def _fill(cls, rows, cols, den, nums):
-        # every constructor ends here, with den already canonical
         if len(nums) != rows or any(map(cols.__ne__, map(len, nums))):
             raise ShapeError(f"int rows do not form a {rows}x{cols} matrix")
         return tuple.__new__(cls, (rows, cols, den, tuple(map(tuple, nums))))
-
-    def __reduce__(self):
-        # copy and pickle rebuild from the fields: __new__ takes entries
-        return self._make, (tuple(self),)
 
     @classmethod
     def from_rows(cls, rows_of_entries):
@@ -90,15 +73,16 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
         cols = len(rows_of_entries[0]) if rows else 0
         if any(len(row) != cols for row in rows_of_entries):
             raise ShapeError("ragged rows")
-        return cls(rows, cols, tuple(chain.from_iterable(rows_of_entries)))
+        den, flat = scaled_ints(tuple(chain.from_iterable(rows_of_entries)))
+        return cls(rows, cols, den, [flat[i * cols : (i + 1) * cols] for i in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        return cls.from_ints(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(n, n, 1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls.from_ints(rows, cols, [(0,) * cols] * rows)
+        return cls(rows, cols, 1, [(0,) * cols] * rows)
 
     @property
     def entries(self):
@@ -117,14 +101,14 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
 
     def transpose(self):
         nums = list(zip(*self.nums)) if self.rows else [()] * self.cols
-        return RatMatrix.from_ints(self.cols, self.rows, nums, self.den)
+        return RatMatrix(self.cols, self.rows, self.den, nums)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return RatMatrix.from_ints(
-            self.rows, other.cols, _matmul(self.nums, other.nums, other.cols),
-            self.den * other.den,
+        return RatMatrix(
+            self.rows, other.cols, self.den * other.den,
+            _matmul(self.nums, other.nums, other.cols),
         )
 
     def is_identity(self):
@@ -167,7 +151,7 @@ class IncidenceMatrix(namedtuple(
             for j in support:
                 row[j] = 1
             rows.append(row)
-        return RatMatrix.from_ints(self.rows, self.cols, rows)
+        return RatMatrix(self.rows, self.cols, 1, rows)
 
 
 class PenroseReport(namedtuple("PenroseReport", "cond1 cond2 cond3 cond4")):
@@ -389,7 +373,7 @@ def pseudoinverse_oracle(A):
         rows = _matmul(Rt, _matmul(adj, Ft, m, None, nf), m, nr)
     if a != 1:
         rows = [[a * v for v in row] for row in rows]
-    return RatMatrix.from_ints(n, m, rows, den)
+    return RatMatrix(n, m, den, rows)
 
 
 def penrose_identities(A, X):
@@ -422,8 +406,8 @@ def rat_matrix_mod_p(A, p):
         v: rat_mod_p(Fraction(v, A.den), p)
         for v in dict.fromkeys(chain.from_iterable(A.nums))
     }
-    return RatMatrix.from_ints(
-        A.rows, A.cols, [list(map(residue.__getitem__, row)) for row in A.nums]
+    return RatMatrix(
+        A.rows, A.cols, 1, [list(map(residue.__getitem__, row)) for row in A.nums]
     )
 
 

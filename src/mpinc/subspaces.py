@@ -23,13 +23,13 @@ over the field elements (ordered by their integer encoding sum c_i p^i).
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import product, repeat
 from struct import Struct
 
 from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
-from .gf import GFMatrix, build_field, factor_prime_power, gf_add, gf_mul
+from .gf import build_field, factor_prime_power, gf_add, gf_mul
 from .linalg import IncidenceMatrix, RatMatrix, scaled_ints
 
 
@@ -45,40 +45,35 @@ def _gbinom(n, m, q):
     return binomial(n, m) if q == 1 else gaussian_binomial(n, m, q)
 
 
-class SubspaceBasis(namedtuple("SubspaceBasis", "n field basis pivots")):
+class SubspaceBasis(namedtuple("SubspaceBasis", "n field basis pivots points")):
     """Canonical representative of one subspace of GF(q)^n.
 
-    basis is a GFMatrix in reduced row echelon form with exactly dim rows;
-    two equal subspaces always produce identical SubspaceBasis values.
+    basis is the tuple of its rows in reduced row echelon form, one per
+    dimension, and points its frozenset of projective points; two equal
+    subspaces always produce identical SubspaceBasis values.
     """
 
-    # no __slots__: the cached points live in the instance __dict__
+    __slots__ = ()
 
-    @property
-    def dim(self):
-        return self.basis.rows
 
-    @cached_property
-    def points(self):
-        """The [dim]_q projective points: the vectors of the span whose first
-        nonzero coordinate is 1.
+def _span_points(f, rows):
+    """The [dim]_q projective points of the span of the RREF rows: the
+    vectors whose first nonzero coordinate is 1.
 
-        In RREF the coordinate at pivot i of a combination is its i-th
-        coefficient, so these are the combinations whose first nonzero
-        coefficient is 1, listed without normalising.
-        """
-        f = self.field
-        rows = [self.basis.row(i) for i in range(self.dim)]
-        out = []
-        for lead, first in enumerate(rows):
-            later = rows[lead + 1 :]
-            for coefs in product(f.elements, repeat=len(later)):
-                v = first
-                for a, row in zip(coefs, later):
-                    if a != f.zero:
-                        v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
-                out.append(v)
-        return frozenset(out)
+    In RREF the coordinate at pivot i of a combination is its i-th
+    coefficient, so these are the combinations whose first nonzero
+    coefficient is 1, listed without normalising.
+    """
+    out = []
+    for lead, first in enumerate(rows):
+        later = rows[lead + 1 :]
+        for coefs in product(f.elements, repeat=len(later)):
+            v = first
+            for a, row in zip(coefs, later):
+                if a != f.zero:
+                    v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
+            out.append(v)
+    return frozenset(out)
 
 
 def _check_enum_params(n, q, r):
@@ -113,10 +108,10 @@ def enumerate_subspaces(n, q, r):
             rows = [row[:] for row in template]
             for (i, j), value in zip(free, assignment):
                 rows[i][j] = value
-            flat = tuple(x for row in rows for x in row)
-            out.append(
-                SubspaceBasis(n=n, field=f, basis=GFMatrix(r, n, flat), pivots=pivots)
-            )
+            basis = tuple(map(tuple, rows))
+            out.append(SubspaceBasis(
+                n=n, field=f, basis=basis, pivots=pivots, points=_span_points(f, basis)
+            ))
     return tuple(out)
 
 
@@ -296,7 +291,7 @@ def expand_class_matrix(cm):
     Its rows hold the class values scaled to ints, so no Fraction is built.
     """
     d, ints = scaled_ints(cm.values)
-    return RatMatrix.from_ints(cm.rows, cm.cols, list(class_rows(cm, ints)), d)
+    return RatMatrix(cm.rows, cm.cols, d, list(class_rows(cm, ints)))
 
 
 # Kept for perfbench/worker.py's traced replay, which calls it by module path.

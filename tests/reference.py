@@ -7,15 +7,16 @@ pytest does not collect this module; tests import it by name.
 
 import json
 from fractions import Fraction
+from math import prod
 
 from mpinc.combinat import binomial
 from mpinc.errors import InvalidFieldError, ParameterError, ShapeError
-from mpinc.gf import GFMatrix
 from mpinc.linalg import IncidenceMatrix, RatMatrix
 
 
 # ---------------------------------------------------------------------------
-# GF(q): elements, matrices and row reduction, read off the field's tables
+# GF(q): elements, matrices as tuples of row tuples, and row reduction, read
+# off the field's tables
 
 def element(f, value):
     """Coerce an int (for prime fields) or coefficient sequence to an element of f."""
@@ -30,19 +31,15 @@ def element(f, value):
 
 
 def from_rows(rows, f):
-    """The GFMatrix with the given rows of ints or coefficient sequences."""
+    """The matrix over f with the given rows of ints or coefficient sequences."""
     cols = len(rows[0]) if rows else 0
     if any(len(row) != cols for row in rows):
         raise ShapeError("ragged rows")
-    return GFMatrix(len(rows), cols, tuple(element(f, x) for row in rows for x in row))
-
-
-def at(A, i, j):
-    return A.entries[i * A.cols + j]
+    return tuple(tuple(element(f, x) for x in row) for row in rows)
 
 
 def to_rows(A):
-    return [list(A.row(i)) for i in range(A.rows)]
+    return [list(row) for row in A]
 
 
 def gf_neg(a, f):
@@ -65,7 +62,7 @@ def rref_gf(A, f):
     rows = to_rows(A)
     add, mul = f._add, f._mul
     pivots = []
-    for col in range(A.cols):
+    for col in range(len(A[0]) if A else 0):
         rank = len(pivots)
         sel = next((i for i in range(rank, len(rows)) if rows[i][col] != f.zero), None)
         if sel is None:
@@ -79,8 +76,7 @@ def rref_gf(A, f):
                 rows[i] = [add[(x, mul[(nf, y)])] for x, y in zip(row, prow)]
         pivots.append(col)
     rank = len(pivots)
-    R = GFMatrix(rank, A.cols, tuple(x for row in rows[:rank] for x in row))
-    return R, rank, tuple(pivots)
+    return tuple(map(tuple, rows[:rank])), rank, tuple(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +97,21 @@ def subset_rank(S, n, r):
             raise ParameterError(f"subset {S} is not strictly increasing within [1, {n}]")
         prev = x
     return sum(binomial(x - 1, j) for j, x in enumerate(S, start=1))
+
+
+def rat_matrix(rows, cols, entries):
+    """The rows x cols RatMatrix of the row-major rationals entries.
+
+    It is built from its fields with den the product of the entries'
+    denominators, a multiple of the canonical one, which the constructor
+    reduces.
+    """
+    entries = [Fraction(x) for x in entries]
+    if len(entries) != rows * cols:
+        raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+    den = prod(x.denominator for x in entries)
+    nums = [x.numerator * (den // x.denominator) for x in entries]
+    return RatMatrix(rows, cols, den, [nums[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
 def rref_rational(A):
@@ -125,7 +136,7 @@ def rref_rational(A):
                 rows[i] = [x - f * y for x, y in zip(row, prow)]
         pivots.append(col)
     rank = len(pivots)
-    R = RatMatrix(rank, A.cols, tuple(x for row in rows[:rank] for x in row))
+    R = rat_matrix(rank, A.cols, [x for row in rows[:rank] for x in row])
     return R, rank, tuple(pivots)
 
 
@@ -141,8 +152,8 @@ def read_csv(text):
 def read_json(text):
     """The RatMatrix of a JSON matrix document's entries."""
     doc = json.loads(text)
-    return RatMatrix(doc["rows"], doc["cols"],
-                     tuple(Fraction(x) for row in doc["entries"] for x in row))
+    return rat_matrix(doc["rows"], doc["cols"],
+                      [Fraction(x) for row in doc["entries"] for x in row])
 
 
 def read_mtx(text):
@@ -194,7 +205,7 @@ def pairwise_meet_sizes(row_sets, col_sets):
 
 def _fraction_product(A, B):
     """A @ B entry by entry, as a sum of Fraction products."""
-    return RatMatrix(
+    return rat_matrix(
         A.rows, B.cols,
         tuple(sum((A.at(i, k) * B.at(k, j) for k in range(A.cols)), Fraction(0))
               for i in range(A.rows) for j in range(B.cols)),

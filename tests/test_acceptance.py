@@ -28,7 +28,7 @@ from mpinc.designs import (
     parse_design,
     validated_design,
 )
-from mpinc.gf import GFMatrix, build_field
+from mpinc.gf import build_field
 from mpinc.linalg import (
     RatMatrix,
     penrose_check,
@@ -37,7 +37,6 @@ from mpinc.linalg import (
     rat_matrix_mod_p,
 )
 from mpinc.subspaces import (
-    SubspaceBasis,
     build_incidence,
     char_p_obstruction,
     class_matrix,
@@ -136,12 +135,11 @@ def test_criterion_03_subspace_closed_form_equals_oracle(q_sweep):
 
 
 def _coordinate_subspace(n, q, pivots):
-    """Subspace spanned by the given standard basis vectors; already in rref."""
+    """The enumerated subspace spanned by the given standard basis vectors,
+    whose rows are already its rref."""
     f = build_field(q)
-    entries = tuple(f.one if j == p else f.zero for p in pivots for j in range(n))
-    return SubspaceBasis(
-        n=n, field=f, basis=GFMatrix(len(pivots), n, entries), pivots=tuple(pivots)
-    )
+    basis = tuple(tuple(f.one if j == p else f.zero for j in range(n)) for p in pivots)
+    return next(S for S in enumerate_subspaces(n, q, len(basis)) if S.basis == basis)
 
 
 def _check_counting_lemmas(q, n):
@@ -176,7 +174,7 @@ def _check_counting_lemmas(q, n):
                 tally = Counter(
                     intersection_dim(R, C)
                     for R in r_spaces
-                    if intersection_dim(R, Cp) == R.dim
+                    if intersection_dim(R, Cp) == len(R.basis)
                 )
                 assert sum(tally.values()) == gaussian_binomial(c, r, q)
                 for i in range(0, k + 1):

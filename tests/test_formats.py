@@ -17,7 +17,7 @@ from mpinc.subspaces import (
     expand_class_matrix,
     labels,
 )
-from reference import read_csv, read_json, read_mtx
+from reference import rat_matrix, read_csv, read_json, read_mtx
 
 
 SAMPLE = RatMatrix.from_rows(
@@ -171,7 +171,7 @@ def _mtx_reference(M, rows):
 
 @pytest.mark.parametrize("rows, cols", [(0, 0), (2, 0), (0, 2), (1, 1), (2, 3)])
 def test_write_json_is_json_dumps_on_edge_shapes(rows, cols):
-    X = RatMatrix(rows, cols, tuple(Fraction(i - 2, 3) for i in range(rows * cols)))
+    X = rat_matrix(rows, cols, [Fraction(i - 2, 3) for i in range(rows * cols)])
     M = IncidenceMatrix(rows, cols, tuple(tuple(range(i % 2, cols, 2)) for i in range(rows)))
     labels = {"row_labels": [[i] for i in range(rows)], "col_labels": ["a"] * cols}
     for A, dense in ((X, X), (M, M.to_rat_matrix())):
@@ -201,7 +201,7 @@ def test_write_json_is_json_dumps_on_edge_shapes(rows, cols):
 )
 def test_write_json_is_json_dumps(shape, row_labels, col_labels):
     cols, rows = shape
-    X = RatMatrix(len(rows), cols, tuple(x for row in rows for x in row))
+    X = rat_matrix(len(rows), cols, [x for row in rows for x in row])
     labels = {}
     if row_labels is not None:
         labels["row_labels"] = row_labels
@@ -210,7 +210,7 @@ def test_write_json_is_json_dumps(shape, row_labels, col_labels):
     assert "".join(write_json(X, **labels)) == _json_reference(X, rows, **labels)
 
 
-def _no_rat_matrix(self, *fields):
+def _no_rat_matrix(cls, *fields):
     raise AssertionError("a RatMatrix was built")
 
 
@@ -226,7 +226,7 @@ def _no_rat_matrix(self, *fields):
     "mpinv subspace --n 3 --q 2 --r 1 --c 2 --expand --format csv --mod 5",
 ])
 def test_mpinv_expand_builds_no_rat_matrix(monkeypatch, capsys, argv):
-    monkeypatch.setattr(RatMatrix, "_fill", _no_rat_matrix)
+    monkeypatch.setattr(RatMatrix, "__new__", _no_rat_matrix)
     with pytest.raises(AssertionError, match="a RatMatrix was built"):
         expand_class_matrix(class_matrix(3, 1, 1, 2))
     assert main(argv.split()) == 0

@@ -22,7 +22,7 @@ from mpinc.linalg import (
 )
 from mpinc.rationals import rat_mod_p
 from mpinc.subspaces import class_matrix, expand_class_matrix, intersection_dim, labels
-from reference import read_csv, rref_rational, skeleton_pseudoinverse
+from reference import rat_matrix, read_csv, rref_rational, skeleton_pseudoinverse
 
 
 def M(rows):
@@ -47,9 +47,16 @@ def random_matrix(rng, max_dim=8):
 
 def test_rat_matrix_shape_checks():
     with pytest.raises(ShapeError):
-        RatMatrix(2, 2, (Fraction(1),) * 3)
+        RatMatrix(2, 2, 1, [[1, 1], [1]])
     with pytest.raises(ShapeError):
         M([[1, 2], [3]])
+
+
+def test_rat_matrix_refuses_a_zero_denominator():
+    # 1/0 and 5/0 are no matrices, equal or not
+    for nums in ([[1]], [[5]]):
+        with pytest.raises(ParameterError, match=r"^denominator must be nonzero, got den=0$"):
+            RatMatrix(1, 1, 0, nums)
 
 
 def test_matmul_and_transpose():
@@ -388,14 +395,15 @@ def test_linalg_imports_no_family_module():
 def assert_canonical(X, rows):
     """X holds the Fraction rows `rows` in canonical form: den is the lcm of
     their reduced denominators, nums is den times each entry, and X equals,
-    and hashes like, the matrix the constructor builds from the Fractions."""
+    and hashes like, the matrix the constructor builds from a negative
+    multiple of its own fields."""
     flat = [Fraction(x) for row in rows for x in row]
     assert (X.rows, len(X.nums)) == (len(rows), len(rows))
     assert X.den == lcm(*(x.denominator for x in flat))
     assert X.nums == tuple(tuple(int(x * X.den) for x in row) for row in rows)
     assert all(type(v) is int for row in X.nums for v in row)
     assert X.to_rows() == [list(map(Fraction, row)) for row in rows]
-    reference = RatMatrix(X.rows, X.cols, flat)
+    reference = RatMatrix(X.rows, X.cols, -6 * X.den, [[-6 * v for v in row] for row in X.nums])
     assert X == reference and hash(X) == hash(reference)
 
 
@@ -410,7 +418,7 @@ def fraction_rows(draw, rows=st.integers(0, 4), cols=st.integers(0, 4)):
 
 
 def rat(cols, rows):
-    return RatMatrix(len(rows), cols, tuple(x for row in rows for x in row))
+    return rat_matrix(len(rows), cols, [x for row in rows for x in row])
 
 
 @settings(max_examples=60, deadline=None)

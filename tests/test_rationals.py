@@ -62,7 +62,7 @@ def test_primality_is_tested_once_per_modulus():
     # test must run only for the first
     p = 1_000_003
     is_prime.cache_clear()
-    X = RatMatrix(3, 4, tuple(Fraction(i, 7) for i in range(12)))
+    X = RatMatrix.from_rows([[Fraction(4 * i + j, 7) for j in range(4)] for i in range(3)])
     rat_matrix_mod_p(X, p)
     assert rat_mod_p(Fraction(1, 2), p) == (p + 1) // 2
     info = is_prime.cache_info()

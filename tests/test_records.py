@@ -1,18 +1,21 @@
 """The record types are immutable named tuples: frozen fields, _replace,
-value equality and hashing, a Name(field=...) repr, and a package import
-that does without the dataclasses module."""
+value equality and hashing, a Name(field=...) repr, no instance dict, a
+copy, deepcopy and pickle that rebuild the record from its fields, and a
+package import that does without the dataclasses module."""
 
+import copy
 import os
 import pickle
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from mpinc.designs import parse_design, survey_designs, validated_design
 from mpinc.errors import ShapeError
-from mpinc.gf import GFMatrix, build_field
+from mpinc.gf import gf_add, gf_mul
 from mpinc.linalg import RatMatrix, penrose_check
 from mpinc.subspaces import build_incidence, class_matrix, enumerate_subspaces, expand_class_matrix
 
@@ -25,19 +28,13 @@ def _penrose_report():
     return penrose_check(M, expand_class_matrix(class_matrix(4, 1, 1, 2)))
 
 
-def _gf_matrix():
-    zero, one, two = build_field(3).elements
-    return GFMatrix(2, 2, (one, two, zero, one))
-
-
 # enumerate_subspaces is cached; its unwrapped body builds a fresh record
 RECORDS = {
-    "RatMatrix": lambda: RatMatrix.from_ints(2, 2, [[1, 2], [3, 4]], 3),
+    "RatMatrix": lambda: RatMatrix(2, 2, 3, [[1, 2], [3, 4]]),
     "IncidenceMatrix": lambda: build_incidence(3, 2, 1, 2),
     "PenroseReport": _penrose_report,
     "SubspaceBasis": lambda: enumerate_subspaces.__wrapped__(3, 2, 1)[0],
     "ClassMatrix": lambda: class_matrix(4, 1, 1, 2),
-    "GFMatrix": _gf_matrix,
     "Design": lambda: parse_design(FANO),
     "SurveyReport": lambda: survey_designs([validated_design(parse_design(FANO), 2)], 1),
 }
@@ -80,26 +77,43 @@ def test_record_contract(name):
         assert hash(twin) == hash(record)
 
     assert repr(record).startswith(f"{name}({fields[0]}=")
-    # only SubspaceBasis keeps an instance dict, for its cached points
-    assert hasattr(record, "__dict__") == (name == "SubspaceBasis")
-    assert pickle.loads(pickle.dumps(record)) == record
+    assert not hasattr(record, "__dict__")
+    for rebuilt in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(rebuilt) is type(record)
+        assert rebuilt == record
 
 
-def test_cached_points_stay_out_of_equality():
-    a = RECORDS["SubspaceBasis"]()
-    b = RECORDS["SubspaceBasis"]()
-    assert a.points
-    assert "points" in vars(a) and "points" not in vars(b)
-    assert a == b and hash(a) == hash(b)
+def _span_points(S):
+    """The vectors of the span of S's basis whose first nonzero coordinate
+    is 1, from every combination of its rows."""
+    f = S.field
+    points = set()
+    for coefs in product(f.elements, repeat=len(S.basis)):
+        v = (f.zero,) * S.n
+        for a, row in zip(coefs, S.basis):
+            v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
+        lead = next((x for x in v if x != f.zero), None)
+        if lead == f.one:
+            points.add(v)
+    return points
+
+
+def test_equal_bases_give_equal_records():
+    # the two enumerations build every record afresh
+    for n, q, r in [(3, 2, 1), (3, 3, 2), (2, 4, 1), (2, 2, 0)]:
+        for a, b in zip(enumerate_subspaces.__wrapped__(n, q, r),
+                        enumerate_subspaces.__wrapped__(n, q, r)):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert a.points == b.points == _span_points(a)
 
 
 def test_matrix_records_check_their_shape():
-    one = build_field(2).elements[1]
-    with pytest.raises(ShapeError, match="2x2 matrix needs 4 entries, got 3"):
-        GFMatrix(2, 2, (one,) * 3)
-    with pytest.raises(ShapeError, match="2x2 matrix needs 4 entries, got 3"):
-        RatMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(ShapeError, match="int rows do not form a 2x2 matrix"):
-        RatMatrix.from_ints(2, 2, [[1, 2], [3]])
+    with pytest.raises(ShapeError, match=r"^int rows do not form a 2x2 matrix$"):
+        RatMatrix(2, 2, 1, [[1, 2]])
+    with pytest.raises(ShapeError, match=r"^int rows do not form a 2x2 matrix$"):
+        RatMatrix(2, 2, 3, [[1, 2], [3]])
     with pytest.raises(ShapeError, match=r"^negative dimensions$"):
-        RatMatrix(-1, 2, ())
+        RatMatrix(-1, 2, 1, ())
+    with pytest.raises(ShapeError, match=r"^ragged rows$"):
+        RatMatrix.from_rows([[1, 2], [3]])

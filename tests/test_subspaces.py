@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mpinc.combinat import all_subsets, gaussian_binomial
 from mpinc.errors import ParameterError, ShapeError
-from mpinc.gf import GFMatrix, build_field, gf_add, gf_mul
+from mpinc.gf import build_field, gf_add, gf_mul
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
     SubspaceBasis,
@@ -34,7 +34,7 @@ def test_enumeration_counts_are_gaussian():
     assert len(enumerate_subspaces(2, 2, 1)) == 3
     assert len(enumerate_subspaces(4, 2, 2)) == 35
     for n in (0, 3):
-        zero = SubspaceBasis(n=n, field=build_field(3), basis=GFMatrix(0, n, ()), pivots=())
+        zero = SubspaceBasis(n=n, field=build_field(3), basis=(), pivots=(), points=frozenset())
         assert enumerate_subspaces(n, 3, 0) == (zero,)
     for (n, q, r) in [(3, 2, 1), (3, 2, 2), (4, 3, 2), (2, 9, 1)]:
         assert len(enumerate_subspaces(n, q, r)) == gaussian_binomial(n, r, q)
@@ -63,14 +63,14 @@ def test_bases_are_canonical_rref():
     for s in enumerate_subspaces(3, 3, 2):
         R, rank, pivots = rref_gf(s.basis, f)
         assert R == s.basis
-        assert rank == s.dim == 2
+        assert rank == len(s.basis) == 2
         assert pivots == s.pivots
 
 
 def test_all_subspaces_distinct():
     seen = set()
     for s in enumerate_subspaces(4, 2, 2):
-        key = s.basis.entries
+        key = s.basis
         assert key not in seen
         seen.add(key)
 
@@ -92,14 +92,13 @@ def test_point_set_meet_matches_stacked_rank(q, n):
     f = build_field(q)
     spaces = [S for d in range(n + 1) for S in enumerate_subspaces(n, q, d)]
     for S in spaces:
-        assert len(S.points) == gaussian_binomial(S.dim, 1, q)
+        assert len(S.points) == gaussian_binomial(len(S.basis), 1, q)
     contains = {}
     for A in spaces:
         for B in spaces:
-            stacked = GFMatrix(A.dim + B.dim, n, A.basis.entries + B.basis.entries)
-            rank = rref_gf(stacked, f)[1]
-            assert intersection_dim(A, B) == A.dim + B.dim - rank
-            contains[A, B] = rank == B.dim
+            rank = rref_gf(A.basis + B.basis, f)[1]
+            assert intersection_dim(A, B) == len(A.basis) + len(B.basis) - rank
+            contains[A, B] = rank == len(B.basis)
     for r in range(n + 1):
         for c in range(r, n + 1):
             cols = enumerate_subspaces(n, q, c)
@@ -121,10 +120,10 @@ def test_meet_sizes_of_subsets(n):
 def _span(S):
     f = S.field
     vectors = set()
-    for coefs in product(f.elements, repeat=S.dim):
+    for coefs in product(f.elements, repeat=len(S.basis)):
         v = (f.zero,) * S.n
-        for a, i in zip(coefs, range(S.dim)):
-            v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, S.basis.row(i)))
+        for a, row in zip(coefs, S.basis):
+            v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
         vectors.add(v)
     return vectors
 
@@ -271,7 +270,7 @@ def test_incidence_entries_match_containment():
     inc = build_incidence(3, 2, 1, 2)
     for i, L in enumerate(lines):
         for j, P in enumerate(planes):
-            contained = intersection_dim(L, P) == L.dim
+            contained = intersection_dim(L, P) == len(L.basis)
             assert inc.at(i, j) == (1 if contained else 0)
 
 
@@ -384,7 +383,7 @@ def test_count_containing_against_enumeration():
             got = sum(
                 1
                 for C in spaces_c
-                if intersection_dim(R, C) == R.dim and intersection_dim(Rp, C) == i
+                if intersection_dim(R, C) == len(R.basis) and intersection_dim(Rp, C) == i
             )
             assert got == want, (k, i)
 
