@@ -24,9 +24,14 @@ A A^T and a tall one through the n x n Gram A^T A. Below full rank it is
 the skeleton: with I the pivot rows and J the pivot columns of A,
 F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
 
-The Penrose certificate forms both A X and X A, reaches A X A and X A X
-through the smaller of the two, and reads off those int rows whether A X
-and X A are identities. Nothing here touches floating point.
+The Penrose certificate forms the smaller of A X and X A first. When it
+is an identity, that one product proves A X A = A, X A X = X and its own
+symmetry (Penrose 1955): a square A needs nothing more, and a wide or tall
+one forms the larger product only to read its symmetry. Otherwise it forms
+the other product too and reaches A X A and X A X through the smaller.
+The elimination leaves a row alone while it is zero in the pivot column
+and brings it up to date only when it is next used. Nothing here touches
+floating point.
 """
 
 from collections import namedtuple
@@ -36,7 +41,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .errors import ParameterError, ShapeError, SingularError
-from .rationals import rat_mod_p
+from .rationals import _check_prime, rat_mod_p
 
 
 class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
@@ -240,10 +245,18 @@ def _gauss_jordan(rows, width):
     are zero in the first `width` columns. Every division is exact, because
     each entry is a minor of the input, so the entries never outgrow those
     minors.
+
+    Rows are kept lazily: level[i] is the pivot that row i was last brought
+    to, and its Bareiss row is rows[i] * prev / level[i], an exact
+    division. A row that is zero in the pivot column is left alone; one
+    that is not steps straight from its level as (p x - f y) / level[i].
+    The pivot row is brought up to date before it is used, and every row
+    once at the end.
     """
     rows = list(rows)
     m = len(rows)
     order = list(range(m))
+    level = [1] * m
     pivots = []
     prev = 1
     for col in range(width):
@@ -253,21 +266,24 @@ def _gauss_jordan(rows, width):
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         order[rank], order[sel] = order[sel], order[rank]
+        level[rank], level[sel] = level[sel], level[rank]
         prow = rows[rank]
+        if level[rank] != prev:
+            prow = rows[rank] = [prev * x // level[rank] for x in prow]
         p = prow[col]
-        for i in range(m):
-            if i == rank:
-                continue
-            row = rows[i]
+        for i, row in enumerate(rows):
             f = row[col]
-            if f:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p != prev:
-                rows[i] = [p * x // prev for x in row]
+            if f and i != rank:
+                rows[i] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
+                level[i] = p
+        level[rank] = p
         pivots.append(col)
         prev = p
         if len(pivots) == m:
             break
+    for i, row in enumerate(rows):
+        if level[i] != prev:
+            rows[i] = [prev * x // level[i] for x in row]
     return rows, order, pivots, prev
 
 
@@ -315,35 +331,50 @@ def _check_pair(A, X):
 
 
 def _penrose(a, x, scale, reduce=None):
-    """(report, ax, xa): the four Penrose conditions on the int rows a
-    (m x n) and x (n x m), and the products a x and x a they read.
+    """(report, ax_is_identity, xa_is_identity): the four Penrose conditions
+    on the int rows a (m x n) and x (n x m), and whether a x and x a equal
+    scale * I.
 
     A X A = A reads a x a = scale * a and X A X = X reads x a x = scale * x;
     reduce, when given, maps each product to the representatives that a
-    and x are written in. Both triple products go through the smaller of
-    a x (m x m) and x a (n x n).
+    and x are written in, which must be those of a field. The smaller of
+    a x (m x m) and x a (n x n) is formed first. When it is scale * I, it
+    proves conditions 1 and 2 and its own symmetry (Penrose 1955): then a
+    square A is done, as a one-sided inverse over a field is two-sided, and
+    otherwise the larger product is formed only for its symmetry; it is no
+    identity, its rank being below its size. Else both triple products go
+    through the smaller product.
     """
+    if len(a) > len(x):
+        # a tall A: certify the wide pair (X, A), whose conditions are
+        # those of (A, X) with 1 and 2, and 3 and 4, swapped
+        report, xa_is_identity, ax_is_identity = _penrose(x, a, scale, reduce)
+        c2, c1, c4, c3 = report
+        return PenroseReport(c1, c2, c3, c4), ax_is_identity, xa_is_identity
+
+    def product(left, right, ncols, nnz_left, nnz_right):
+        rows = _matmul(left, right, ncols, nnz_left, nnz_right)
+        return rows if reduce is None else reduce(rows)
+
     m, n = len(a), len(x)
     # each factor's nonzeros are counted once, for all the products it is in
     na, nx = _nnz(a), _nnz(x)
-    ax, xa = _matmul(a, x, m, na, nx), _matmul(x, a, n, nx, na)
-    if reduce is not None:
-        ax, xa = reduce(ax), reduce(xa)
-    if n < m:
-        nxa = _nnz(xa)
-        axa, xax = _matmul(a, xa, n, na, nxa), _matmul(xa, x, m, nxa, nx)
-    else:
-        nax = _nnz(ax)
-        axa, xax = _matmul(ax, a, n, nax, na), _matmul(x, ax, m, nx, nax)
-    if reduce is not None:
-        axa, xax = reduce(axa), reduce(xax)
+    ax = product(a, x, m, na, nx)
+    if _is_scaled_identity(ax, scale):
+        if m == n:
+            return PenroseReport(True, True, True, True), True, True
+        xa = product(x, a, n, nx, na)
+        return PenroseReport(True, True, True, _is_symmetric(xa)), True, False
+    xa = product(x, a, n, nx, na)
+    nax = _nnz(ax)
+    axa, xax = product(ax, a, n, nax, na), product(x, ax, m, nx, nax)
     report = PenroseReport(
         cond1=axa == [[scale * v for v in row] for row in a],
         cond2=xax == [[scale * v for v in row] for row in x],
         cond3=_is_symmetric(ax),
         cond4=_is_symmetric(xa),
     )
-    return report, ax, xa
+    return report, False, _is_scaled_identity(xa, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +417,7 @@ def penrose_identities(A, X):
     unaffected, and A X = I reads Ai Xi = a x I.
     """
     _check_pair(A, X)
-    scale = A.den * X.den
-    report, ax, xa = _penrose(A.nums, X.nums, scale)
-    return report, _is_scaled_identity(ax, scale), _is_scaled_identity(xa, scale)
+    return _penrose(A.nums, X.nums, A.den * X.den)
 
 
 def penrose_check(A, X):
@@ -420,9 +449,11 @@ def _residue_rows(A, p):
 def penrose_check_mod_p(A, X, p):
     """The four Penrose conditions over GF(p), plain transpose for 3 and 4.
 
-    A and X must carry integer entries (already reduced, e.g. through
-    rat_matrix_mod_p).
+    p must be prime, else ParameterError, as the one-sided shortcut of the
+    certificate holds over a field only. A and X must carry integer entries
+    (already reduced, e.g. through rat_matrix_mod_p).
     """
+    _check_prime(p)
     _check_pair(A, X)
     return _penrose(
         _residue_rows(A, p), _residue_rows(X, p), 1,

@@ -7,11 +7,12 @@ pytest does not collect this module; tests import it by name.
 
 import json
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import prod
 
 from mpinc.combinat import binomial
 from mpinc.errors import InvalidFieldError, ParameterError, ShapeError
-from mpinc.linalg import IncidenceMatrix, RatMatrix
+from mpinc.linalg import IncidenceMatrix, PenroseReport, RatMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +234,45 @@ def skeleton_pseudoinverse(A):
     assert pivots == tuple(range(k)), "F^T A R^T is singular"
     K_inv = RatMatrix.from_rows([list(reduced.row(i))[k:] for i in range(k)])
     return _fraction_product(_fraction_product(R.transpose(), K_inv), F.transpose())
+
+
+# ---------------------------------------------------------------------------
+# the Penrose conditions and the determinant, from their definitions
+
+def penrose_reference(A, X, p=None):
+    """(report, ax_is_identity, xa_is_identity) for the pair (A, X), read
+    off the four products A X, X A, (A X) A and (X A) X formed entry by
+    entry: as sums of Fraction products, or, when p is given, as int
+    products mod p of the integer entries of A and X."""
+    if p is None:
+        product = _fraction_product
+    else:
+        if A.den != 1 or X.den != 1:
+            raise ParameterError("a product mod p needs integer entries")
+        A, X = (RatMatrix(N.rows, N.cols, 1, [[v % p for v in row] for row in N.nums])
+                for N in (A, X))
+
+        def product(P, Q):
+            return RatMatrix(P.rows, Q.cols, 1, [
+                [sum(P.nums[i][k] * Q.nums[k][j] for k in range(P.cols)) % p
+                 for j in range(Q.cols)]
+                for i in range(P.rows)
+            ])
+    ax, xa = product(A, X), product(X, A)
+    report = PenroseReport(
+        cond1=product(ax, A) == A,
+        cond2=product(xa, X) == X,
+        cond3=ax == ax.transpose(),
+        cond4=xa == xa.transpose(),
+    )
+    return report, ax == RatMatrix.identity(A.rows), xa == RatMatrix.identity(A.cols)
+
+
+def leibniz_determinant(rows):
+    """det of a square matrix of ints: the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total

@@ -21,8 +21,21 @@ from mpinc.linalg import (
     rat_matrix_mod_p,
 )
 from mpinc.rationals import rat_mod_p
-from mpinc.subspaces import class_matrix, expand_class_matrix, intersection_dim, labels
-from reference import rat_matrix, read_csv, rref_rational, skeleton_pseudoinverse
+from mpinc.subspaces import (
+    build_incidence,
+    class_matrix,
+    expand_class_matrix,
+    intersection_dim,
+    labels,
+)
+from reference import (
+    leibniz_determinant,
+    penrose_reference,
+    rat_matrix,
+    read_csv,
+    rref_rational,
+    skeleton_pseudoinverse,
+)
 
 
 def M(rows):
@@ -201,6 +214,15 @@ def test_penrose_mod_p_needs_integer_entries():
         penrose_check_mod_p(A, A, 5)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_penrose_mod_p_refuses_a_modulus_that_is_not_prime(p):
+    # over Z/1 every condition would hold, Z/0 would divide by zero, and
+    # Z/4 is no field, where a one-sided inverse proves nothing
+    A, X = M([[1, 2], [3, 4]]), M([[5, 0], [0, 7]])
+    with pytest.raises(ParameterError, match=rf"^modulus {p} is not prime$"):
+        penrose_check_mod_p(A, X, p)
+
+
 def test_first_difference():
     A = M([[1, 2], [3, 4]])
     B = M([[1, 2], [3, 5]])
@@ -326,6 +348,144 @@ def test_penrose_identities_match_the_products(pair):
     assert report == penrose_check(A, X)
     assert ax_is_identity == (A @ X).is_identity()
     assert xa_is_identity == (X @ A).is_identity()
+
+
+@st.composite
+def certificate_pairs(draw):
+    """(A, X): A square, wide, tall or rank-deficient, and X its oracle, a
+    one-sided inverse that is not A+ (A+ + Z with Z A = 0 for a tall A, or
+    A Z = 0 for a wide one), the oracle with one entry moved, or a random
+    matrix."""
+    _, A = draw(st.sampled_from(("square", "wide", "tall", "deficient")).flatmap(shaped_matrices))
+    m, n = A.rows, A.cols
+    X = pseudoinverse_oracle(A)
+    how = draw(st.sampled_from(("oracle", "one-sided", "moved", "random")))
+    if how == "one-sided":
+        def plus(P, Q, sign=1):
+            return M([[p + sign * q for p, q in zip(prow, qrow)]
+                      for prow, qrow in zip(P.to_rows(), Q.to_rows())])
+
+        W = M(draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                            min_size=n, max_size=n)))
+        if m >= n:
+            Z = W @ plus(RatMatrix.identity(m), A @ X, -1)  # Z A = 0
+        else:
+            Z = plus(RatMatrix.identity(n), X @ A, -1) @ W  # A Z = 0
+        X = plus(X, Z)
+    elif how == "moved":
+        rows = X.to_rows()
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] += draw(
+            st.sampled_from((-1, 1, Fraction(1, 2))))
+        X = M(rows)
+    elif how == "random":
+        X = M(draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                            min_size=n, max_size=n)))
+    return A, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_pairs())
+@example((M([[1, 2]]), M([[1], [0]])))
+@example((M([[1], [2]]), M([[1, 0]])))
+def test_penrose_certificate_matches_the_reference(pair):
+    A, X = pair
+    expected = penrose_reference(A, X)
+    assert penrose_identities(A, X) == expected
+    assert penrose_check(A, X) == expected[0]
+    p = 10007
+    if A.den % p and X.den % p:
+        Ap, Xp = rat_matrix_mod_p(A, p), rat_matrix_mod_p(X, p)
+        assert penrose_check_mod_p(Ap, Xp, p) == penrose_reference(Ap, Xp, p)[0]
+
+
+def set_pair(n, r, c):
+    """The set inclusion matrix W_rc(n) and its closed-form inverse."""
+    return build_incidence(n, 1, r, c).to_rat_matrix(), expand_class_matrix(class_matrix(n, 1, r, c))
+
+
+def deficient_pair():
+    A = M([[1, 1], [1, 1], [0, 0]])
+    return A, pseudoinverse_oracle(A)
+
+
+@pytest.mark.parametrize("make, expected", [
+    # a square nonsingular pair: A X = I alone proves all four conditions
+    (lambda: set_pair(4, 1, 3), 1),
+    # tall and wide full-rank pairs: the larger product only for its symmetry
+    (lambda: set_pair(4, 2, 3), 2),
+    (lambda: set_pair(6, 1, 2), 2),
+    # below full rank no product is an identity: both triple products form
+    (deficient_pair, 4),
+], ids=["square", "tall", "wide", "deficient"])
+def test_certificate_forms_only_the_products_it_needs(monkeypatch, make, expected):
+    A, X = make()
+    p = 10007
+    Ap, Xp = rat_matrix_mod_p(A, p), rat_matrix_mod_p(X, p)
+    formed = []
+    matmul = mpinc.linalg._matmul
+
+    def counted(*args):
+        formed.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(mpinc.linalg, "_matmul", counted)
+    assert penrose_identities(A, X)[0].all_ok
+    assert len(formed) == expected
+    formed.clear()
+    assert penrose_check_mod_p(Ap, Xp, p).all_ok
+    assert len(formed) == expected
+
+
+@st.composite
+def int_matrices(draw):
+    """A list of int rows that is diagonal, block-diagonal, sparse 0/1 or
+    rank-deficient."""
+    kind = draw(st.sampled_from(("diagonal", "block", "sparse", "deficient")))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    if kind == "diagonal":
+        diagonal = draw(st.lists(entry, min_size=min(m, n), max_size=min(m, n)))
+        return [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    if kind == "block":
+        rows = [[0] * n for _ in range(m)]
+        i = j = 0
+        while i < m and j < n:
+            size = draw(st.integers(1, 3))
+            for a in range(i, min(m, i + size)):
+                for b in range(j, min(n, j + size)):
+                    rows[a][b] = draw(entry)
+            i, j = i + size, j + size
+        return rows
+    if kind == "sparse":
+        return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+    k = draw(st.integers(0, min(m, n) - 1))
+    F = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    G = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(F[i][t] * G[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices(), st.data())
+def test_gauss_jordan_is_the_scaled_rref(rows, data):
+    # the pivots are sought in the first width columns of [A | B]; those
+    # columns of the reduced rows are d times the RREF of A, and d = +-det A
+    # for a square nonsingular A
+    m, width = len(rows), len(rows[0])
+    extra = data.draw(st.integers(0, 3))
+    B = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=extra, max_size=extra),
+                           min_size=m, max_size=m))
+    reduced, order, pivots, d = mpinc.linalg._gauss_jordan(
+        [row + more for row, more in zip(rows, B)], width)
+    R, rank, ref_pivots = rref_rational(M(rows))
+    assert tuple(pivots) == ref_pivots
+    assert sorted(order) == list(range(m))
+    assert [row[:width] for row in reduced[:rank]] == [
+        [d * v for v in R.row(t)] for t in range(rank)
+    ]
+    assert not any(any(row[:width]) for row in reduced[rank:])
+    if m == width == rank:
+        assert d in (leibniz_determinant(rows), -leibniz_determinant(rows))
 
 
 @settings(max_examples=60, deadline=None)
