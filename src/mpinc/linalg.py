@@ -6,8 +6,9 @@ entries, so equal matrices have equal fields. The commands call an
 IncidenceMatrix's to_rat_matrix once and pass that one matrix to both the
 oracle and the certificate. Every kernel runs on the int rows of a
 RatMatrix: products go through one row-sparse integer product that visits
-only nonzero entries, and elimination is fraction-free (Bareiss 1968), so
-there is no rational arithmetic and no rational swell in between.
+only nonzero entries, and elimination is one fraction-free (Bareiss 1968)
+kernel in exchange form, on the k columns of the matrix rather than the 2k
+of [M | I], so there is no rational arithmetic and no rational swell.
 Fractions are built only by the readers (entries, row, at and to_rows)
 and, once per distinct entry, by rat_matrix_mod_p.
 
@@ -27,8 +28,9 @@ F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
 The Penrose certificate forms the smaller of A X and X A first. When it
 is an identity, that one product proves A X A = A, X A X = X and its own
 symmetry (Penrose 1955): a square A needs nothing more, and a wide or tall
-one forms the larger product only to read its symmetry. Otherwise it forms
-the other product too and reaches A X A and X A X through the smaller.
+one reads the larger product's symmetry from that product or, when that
+costs more, from the small Gram side X^T X. Otherwise it forms the other
+product too and reaches A X A and X A X through the smaller.
 The elimination leaves a row alone while it is zero in the pivot column
 and brings it up to date only when it is next used. Nothing here touches
 floating point.
@@ -235,16 +237,20 @@ def _is_scaled_identity(rows, scale):
     return all(row[i] == scale and row.count(0) == n - 1 for i, row in enumerate(rows))
 
 
-def _gauss_jordan(rows, width):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of int rows.
+def _exchange(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the int
+    rows of M, kept in exchange form. Returns (rows, pivots, d).
 
-    Pivots are sought in the first `width` columns, in order, and each row
-    operation runs across the whole row. Returns (reduced, order, pivots, d):
-    reduced[t] is zero in every pivot column but pivots[t], where it holds d,
-    the last pivot; it descends from input row order[t]. Rows past the rank
-    are zero in the first `width` columns. Every division is exact, because
-    each entry is a minor of the input, so the entries never outgrow those
-    minors.
+    Read the rows as y = M x. Pivot (sel, col) exchanges y_sel and x_col:
+    column col, taken in order up to width, is pivoted on the first unused
+    row that is nonzero in it, and a column with no such row is skipped.
+    With p the pivot and prev the pivot before it, every other row with
+    f = row[col] != 0 becomes (p x - f y) / prev with its col entry f, and
+    the pivot row becomes -row with its col entry prev. pivots lists the
+    pairs (sel, col) in pivot order and d is the last pivot. The rows are
+    those of the Bareiss Gauss-Jordan of [M | I], with the column of I
+    that belongs to row sel stored in pivot column col, so each entry is a
+    signed minor of M and every division is exact.
 
     Rows are kept lazily: level[i] is the pivot that row i was last brought
     to, and its Bareiss row is rows[i] * prev / level[i], an exact
@@ -255,49 +261,53 @@ def _gauss_jordan(rows, width):
     """
     rows = list(rows)
     m = len(rows)
-    order = list(range(m))
     level = [1] * m
+    unused = [True] * m
     pivots = []
     prev = 1
     for col in range(width):
-        rank = len(pivots)
-        sel = next((i for i in range(rank, m) if rows[i][col]), None)
+        sel = next((i for i in range(m) if unused[i] and rows[i][col]), None)
         if sel is None:
             continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        order[rank], order[sel] = order[sel], order[rank]
-        level[rank], level[sel] = level[sel], level[rank]
-        prow = rows[rank]
-        if level[rank] != prev:
-            prow = rows[rank] = [prev * x // level[rank] for x in prow]
+        prow = rows[sel]
+        if level[sel] != prev:
+            prow = [prev * x // level[sel] for x in prow]
         p = prow[col]
         for i, row in enumerate(rows):
             f = row[col]
-            if f and i != rank:
-                rows[i] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
+            if f and i != sel:
+                new = rows[i] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
+                new[col] = prev * f // level[i]
                 level[i] = p
-        level[rank] = p
-        pivots.append(col)
+        prow = rows[sel] = [-x for x in prow]
+        prow[col] = prev
+        level[sel] = p
+        unused[sel] = False
+        pivots.append((sel, col))
         prev = p
         if len(pivots) == m:
             break
     for i, row in enumerate(rows):
         if level[i] != prev:
             rows[i] = [prev * x // level[i] for x in row]
-    return rows, order, pivots, prev
+    return rows, pivots, prev
 
 
 def _inverse(M):
     """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M.
 
-    SingularError when M is singular.
+    After _exchange has pivoted every column, x_c = M^-1 y reads off row
+    row_of[c], whose entry in column c' is d times the coefficient of
+    y_row_of[c']. SingularError when M is singular.
     """
     k = len(M)
-    aug = [[*row] + [0] * i + [1] + [0] * (k - i - 1) for i, row in enumerate(M)]
-    reduced, _, pivots, d = _gauss_jordan(aug, k)
+    rows, pivots, d = _exchange(M, k)
     if len(pivots) < k:
         raise SingularError("matrix is singular")
-    return [row[k:] for row in reduced], d
+    row_of, col_of = [0] * k, [0] * k
+    for i, c in pivots:
+        row_of[c], col_of[i] = i, c
+    return [[rows[i][c] for c in col_of] for i in row_of], d
 
 
 def _full_rank_inverse(a, n, nnz_a=None):
@@ -340,10 +350,13 @@ def _penrose(a, x, scale, reduce=None):
     and x are written in, which must be those of a field. The smaller of
     a x (m x m) and x a (n x n) is formed first. When it is scale * I, it
     proves conditions 1 and 2 and its own symmetry (Penrose 1955): then a
-    square A is done, as a one-sided inverse over a field is two-sided, and
-    otherwise the larger product is formed only for its symmetry; it is no
-    identity, its rank being below its size. Else both triple products go
-    through the smaller product.
+    square A is done, as a one-sided inverse over a field is two-sided. A
+    wide A still needs X A symmetric, which holds exactly when X = A^T (X^T
+    X): X = X A X = (X A)^T X one way, A^T (X^T X) A is symmetric the other.
+    That reads a^T (x^T x) = scale * x, on m-wide products only, and is
+    taken when a cost model on sizes and nnz says it is cheaper than x a.
+    The larger product is no identity, its rank being below its size. Else
+    both triple products go through the smaller product.
     """
     if len(a) > len(x):
         # a tall A: certify the wide pair (X, A), whose conditions are
@@ -363,8 +376,15 @@ def _penrose(a, x, scale, reduce=None):
     if _is_scaled_identity(ax, scale):
         if m == n:
             return PenroseReport(True, True, True, True), True, True
-        xa = product(x, a, n, nx, na)
-        return PenroseReport(True, True, True, _is_symmetric(xa)), True, False
+        # a scanned nonzero costs about 60 entries of a row sum
+        if (nx + na) * (60 + m) + 2 * m * n < min(nx, na) * (60 + n) + 2 * n * n:
+            gram = product(_transpose(x, m), x, m, nx, nx)
+            cond4 = product(_transpose(a, n), gram, m, na, None) == [
+                [scale * v for v in row] for row in x
+            ]
+        else:
+            cond4 = _is_symmetric(product(x, a, n, nx, na))
+        return PenroseReport(True, True, True, cond4), True, False
     xa = product(x, a, n, nx, na)
     nax = _nnz(ax)
     axa, xax = product(ax, a, n, nax, na), product(x, ax, m, nx, nax)
@@ -393,12 +413,12 @@ def pseudoinverse_oracle(A):
         rows, den = _full_rank_inverse(Ai, n, nnz)
     except SingularError:
         # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
-        _, order, pivots, _ = _gauss_jordan(Ai, n)
+        pivots = _exchange(Ai, n)[1]
         k = len(pivots)
         if k == 0:
             return RatMatrix.zeros(n, m)
-        Rt = _transpose([Ai[i] for i in order[:k]], n)
-        Ft = [[row[j] for row in Ai] for j in pivots]
+        Rt = _transpose([Ai[i] for i, _ in pivots], n)
+        Ft = [[row[j] for row in Ai] for _, j in pivots]
         nr, nf = _nnz(Rt), _nnz(Ft)
         adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k, nnz, nr), k, nf))
         rows = _matmul(Rt, _matmul(adj, Ft, m, None, nf), m, nr)

@@ -205,12 +205,16 @@ def pairwise_meet_sizes(row_sets, col_sets):
 # the skeleton pseudoinverse, in Fractions
 
 def _fraction_product(A, B):
-    """A @ B entry by entry, as a sum of Fraction products."""
-    return rat_matrix(
-        A.rows, B.cols,
-        tuple(sum((A.at(i, k) * B.at(k, j) for k in range(A.cols)), Fraction(0))
-              for i in range(A.rows) for j in range(B.cols)),
-    )
+    """A @ B as sums of Fraction products, row by row: row i is the sum of
+    a * B.row(k) over the nonzero entries a = A[i, k]."""
+    entries = []
+    for i in range(A.rows):
+        row = [Fraction(0)] * B.cols
+        for k, a in enumerate(A.row(i)):
+            if a:
+                row = [x + a * y for x, y in zip(row, B.row(k))]
+        entries += row
+    return rat_matrix(A.rows, B.cols, entries)
 
 
 def skeleton_pseudoinverse(A):
@@ -253,11 +257,11 @@ def penrose_reference(A, X, p=None):
                 for N in (A, X))
 
         def product(P, Q):
-            return RatMatrix(P.rows, Q.cols, 1, [
-                [sum(P.nums[i][k] * Q.nums[k][j] for k in range(P.cols)) % p
-                 for j in range(Q.cols)]
-                for i in range(P.rows)
-            ])
+            rows = []
+            for prow in P.nums:
+                terms = [(k, v) for k, v in enumerate(prow) if v]
+                rows.append([sum(v * Q.nums[k][j] for k, v in terms) % p for j in range(Q.cols)])
+            return RatMatrix(P.rows, Q.cols, 1, rows)
     ax, xa = product(A, X), product(X, A)
     report = PenroseReport(
         cond1=product(ax, A) == A,

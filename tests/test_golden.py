@@ -72,7 +72,9 @@ CASES = {
     "verify_subspace_left": "verify subspace --n 2 --q 3 --r 1 --c 2",
     "verify_design_s1": f"verify design --file {FANO} --s 1",
     "verify_design_s2": f"verify design --file {PAIRS} --s 2",
+    "verify_design_s3": f"verify design --file {FANO} --s 3",
     "survey_fano": "survey --dir samples/fano --s 1",
+    "survey_fano_s3": "survey --dir samples/fano --s 3",
     # refusals
     "refuse_build_q6": "build subspace --n 3 --q 6 --r 1 --c 2",
     "refuse_mpinv_q6": "mpinv subspace --n 3 --q 6 --r 1 --c 2",

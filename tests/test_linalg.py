@@ -1,6 +1,7 @@
 import ast
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mpinc.linalg
-from mpinc.errors import NotReducibleError, ParameterError, ShapeError
+from mpinc.designs import Design, build_design_incidence, parse_design
+from mpinc.errors import NotReducibleError, ParameterError, ShapeError, SingularError
 from mpinc.formats import write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
@@ -24,6 +26,7 @@ from mpinc.rationals import rat_mod_p
 from mpinc.subspaces import (
     build_incidence,
     class_matrix,
+    enumerate_subspaces,
     expand_class_matrix,
     intersection_dim,
     labels,
@@ -436,17 +439,80 @@ def test_certificate_forms_only_the_products_it_needs(monkeypatch, make, expecte
     assert len(formed) == expected
 
 
+def fano_m3():
+    """M_3 of the Fano plane: 35 x 7, each block holding one 3-subset."""
+    fano = parse_design(str(Path(__file__).resolve().parents[1] / "samples/fano/fano.blk"))
+    return build_design_incidence(fano, 3).to_rat_matrix()
+
+
+def pg32_lines_m3():
+    """M_3 of the lines of PG(3,2) as a 2-(15, 3, 1) design: 455 x 35."""
+    lines = [sorted(S.points) for S in enumerate_subspaces(4, 2, 2)]
+    index = {P: i for i, P in enumerate(sorted(set().union(*lines)), 1)}
+    blocks = tuple(sorted(tuple(sorted(index[P] for P in line)) for line in lines))
+    return build_design_incidence(Design(v=15, blocks=blocks, k=3), 3).to_rat_matrix()
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@pytest.mark.parametrize("make", [fano_m3, pg32_lines_m3], ids=["fano", "pg32-lines"])
+def test_certificate_reads_symmetry_on_the_gram_side(monkeypatch, make, wide):
+    # sparse pairs whose one-sided product is an identity: the larger
+    # product's symmetry is read from X = A^T (X^T X) on the wide side, and
+    # no product as large as the larger of A X and X A is formed
+    M3 = make()
+    if wide:
+        M3 = M3.transpose()
+    # A = (2/3) M3, so that the products are compared with scale 6, not 1
+    A = RatMatrix(M3.rows, M3.cols, 3, [[2 * v for v in row] for row in M3.nums])
+    X = pseudoinverse_oracle(A)
+    m, n = A.rows, A.cols
+    # a one-sided inverse, X + W (I - A X) when tall and X + (I - X A) W
+    # when wide; here X = (3/2) M3^T, so with W nonzero at one entry only,
+    # in a zero column (row) of X, the second term is W itself
+    rows = [list(row) for row in X.nums]
+    if wide:
+        rows[next(j for j in range(n) if not any(X.nums[j]))][0] = 1
+    else:
+        rows[0][next(i for i in range(m) if not any(row[i] for row in X.nums))] = 1
+    Y = RatMatrix(n, m, X.den, rows)
+    shapes = []
+    matmul = mpinc.linalg._matmul
+
+    def recorded(a, b, ncols, *nnz):
+        shapes.append((len(a), ncols))
+        return matmul(a, b, ncols, *nnz)
+
+    monkeypatch.setattr(mpinc.linalg, "_matmul", recorded)
+    p = 10007
+    for Z, report in ((X, (True,) * 4), (Y, (True, True, wide, not wide))):
+        assert penrose_identities(A, Z)[0] == report
+        assert penrose_identities(A, Z) == penrose_reference(A, Z)
+        Ap, Zp = rat_matrix_mod_p(A, p), rat_matrix_mod_p(Z, p)
+        assert penrose_check_mod_p(Ap, Zp, p) == penrose_reference(Ap, Zp, p)[0]
+    big = max(m, n)
+    assert shapes and (big, big) not in shapes
+
+
 @st.composite
 def int_matrices(draw):
-    """A list of int rows that is diagonal, block-diagonal, sparse 0/1 or
-    rank-deficient."""
-    kind = draw(st.sampled_from(("diagonal", "block", "sparse", "deficient")))
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    """A list of int rows that is dense, diagonal, a signed partial
+    permutation, block-diagonal, sparse 0/1 or rank-deficient, with its
+    first column zero in a leading run of rows."""
+    kind = draw(st.sampled_from(
+        ("dense", "diagonal", "permutation", "block", "sparse", "deficient")))
+    m = draw(st.integers(1, 6))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 6))
     entry = st.integers(-4, 4)
-    if kind == "diagonal":
+    if kind == "dense":
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    elif kind == "diagonal":
         diagonal = draw(st.lists(entry, min_size=min(m, n), max_size=min(m, n)))
-        return [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
-    if kind == "block":
+        rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(max(m, n))))
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m))
+        rows = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(m)]
+    elif kind == "block":
         rows = [[0] * n for _ in range(m)]
         i = j = 0
         while i < m and j < n:
@@ -455,37 +521,51 @@ def int_matrices(draw):
                 for b in range(j, min(n, j + size)):
                     rows[a][b] = draw(entry)
             i, j = i + size, j + size
-        return rows
-    if kind == "sparse":
-        return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    elif kind == "sparse":
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                              min_size=m, max_size=m))
-    k = draw(st.integers(0, min(m, n) - 1))
-    F = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
-    G = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
-    return [[sum(F[i][t] * G[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    else:
+        k = draw(st.integers(0, min(m, n) - 1))
+        F = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+        G = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [[sum(F[i][t] * G[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+    for row in rows[:draw(st.integers(0, m))]:
+        row[0] = 0
+    return rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(int_matrices(), st.data())
-def test_gauss_jordan_is_the_scaled_rref(rows, data):
-    # the pivots are sought in the first width columns of [A | B]; those
-    # columns of the reduced rows are d times the RREF of A, and d = +-det A
-    # for a square nonsingular A
-    m, width = len(rows), len(rows[0])
-    extra = data.draw(st.integers(0, 3))
-    B = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=extra, max_size=extra),
-                           min_size=m, max_size=m))
-    reduced, order, pivots, d = mpinc.linalg._gauss_jordan(
-        [row + more for row, more in zip(rows, B)], width)
-    R, rank, ref_pivots = rref_rational(M(rows))
-    assert tuple(pivots) == ref_pivots
-    assert sorted(order) == list(range(m))
-    assert [row[:width] for row in reduced[:rank]] == [
-        [d * v for v in R.row(t)] for t in range(rank)
-    ]
-    assert not any(any(row[:width]) for row in reduced[rank:])
-    if m == width == rank:
-        assert d in (leibniz_determinant(rows), -leibniz_determinant(rows))
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_exchange_reads_as_the_exchanged_system(rows):
+    # pivot (i, j) exchanges y_i and x_j in y = A x, so with I the pivot
+    # rows and J the pivot columns, row t of the result gives d x_j (t = i
+    # pivoted on j) or d y_t (t not in I) from y_I and the other x; the
+    # check runs on x = each unit vector, y = that column of A
+    m, n = len(rows), len(rows[0])
+    reduced, pivots, d = mpinc.linalg._exchange(rows, n)
+    _, rank, ref_pivots = rref_rational(M(rows))
+    I, J = [i for i, _ in pivots], [j for _, j in pivots]
+    assert tuple(J) == ref_pivots
+    assert len(set(I)) == rank
+    assert leibniz_determinant([[rows[i][j] for j in J] for i in I]) != 0
+    row_of, col_of = {j: i for i, j in pivots}, dict(pivots)
+    for k in range(n):
+        x, y = [int(j == k) for j in range(n)], [row[k] for row in rows]
+        known = [y[row_of[j]] if j in row_of else x[j] for j in range(n)]
+        for t, row in enumerate(reduced):
+            lhs = x[col_of[t]] if t in col_of else y[t]
+            assert d * lhs == sum(map(mul, row, known))
+    if m != n:
+        return
+    if rank < n:
+        with pytest.raises(SingularError):
+            mpinc.linalg._inverse(rows)
+        return
+    adj, d = mpinc.linalg._inverse(rows)
+    assert d in (leibniz_determinant(rows), -leibniz_determinant(rows))
+    augmented, _, _ = rref_rational(M([row + [int(i == j) for j in range(n)]
+                                       for i, row in enumerate(rows)]))
+    assert RatMatrix(n, n, d, adj) == M([list(augmented.row(i))[n:] for i in range(n)])
 
 
 @settings(max_examples=60, deadline=None)
