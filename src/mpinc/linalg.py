@@ -6,9 +6,9 @@ entries, so equal matrices have equal fields. The commands call an
 IncidenceMatrix's to_rat_matrix once and pass that one matrix to both the
 oracle and the certificate. Every kernel runs on the int rows of a
 RatMatrix: products go through one row-sparse integer product that visits
-only nonzero entries, and elimination is one fraction-free (Bareiss 1968)
-kernel in exchange form, on the k columns of the matrix rather than the 2k
-of [M | I], so there is no rational arithmetic and no rational swell.
+only nonzero entries, and elimination is one integer kernel in exchange
+form, on the k columns of the matrix rather than the 2k of [M | I], that
+keeps each row primitive: no rational arithmetic and no determinant swell.
 Fractions are built only by the readers (entries, row, at and to_rows)
 and, once per distinct entry, by rat_matrix_mod_p.
 
@@ -19,9 +19,9 @@ The oracle is the full-rank factorization formula (Ben-Israel and Greville
 
 where the columns of F are a basis of the column space of A and the rows
 of R a basis of its row space. F = I when A has full row rank and R = I
-when it has full column rank, so a square nonsingular A is inverted once
-(det A, not the skeleton's det(A)^3), a wide A goes through the m x m Gram
-A A^T and a tall one through the n x n Gram A^T A. Below full rank it is
+when it has full column rank, so a square nonsingular A is inverted with
+no product, a wide A through the m x m Gram A A^T and a tall one through
+the n x n Gram A^T A, each cheaper than the skeleton. Below full rank it is
 the skeleton: with I the pivot rows and J the pivot columns of A,
 F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
 
@@ -30,10 +30,8 @@ is an identity, that one product proves A X A = A, X A X = X and its own
 symmetry (Penrose 1955): a square A needs nothing more, and a wide or tall
 one reads the larger product's symmetry from that product or, when that
 costs more, from the small Gram side X^T X. Otherwise it forms the other
-product too and reaches A X A and X A X through the smaller.
-The elimination leaves a row alone while it is zero in the pivot column
-and brings it up to date only when it is next used. Nothing here touches
-floating point.
+product too and reaches A X A and X A X through the smaller. Nothing
+here touches floating point.
 """
 
 from collections import namedtuple
@@ -238,76 +236,76 @@ def _is_scaled_identity(rows, scale):
 
 
 def _exchange(rows, width):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the int
-    rows of M, kept in exchange form. Returns (rows, pivots, d).
+    """Gauss-Jordan elimination of the int rows of M in exchange form, on
+    primitive rows. Returns (rows, pivots, scales).
 
     Read the rows as y = M x. Pivot (sel, col) exchanges y_sel and x_col:
     column col, taken in order up to width, is pivoted on the first unused
-    row that is nonzero in it, and a column with no such row is skipped.
-    With p the pivot and prev the pivot before it, every other row with
-    f = row[col] != 0 becomes (p x - f y) / prev with its col entry f, and
-    the pivot row becomes -row with its col entry prev. pivots lists the
-    pairs (sel, col) in pivot order and d is the last pivot. The rows are
-    those of the Bareiss Gauss-Jordan of [M | I], with the column of I
-    that belongs to row sel stored in pivot column col, so each entry is a
-    signed minor of M and every division is exact.
-
-    Rows are kept lazily: level[i] is the pivot that row i was last brought
-    to, and its Bareiss row is rows[i] * prev / level[i], an exact
-    division. A row that is zero in the pivot column is left alone; one
-    that is not steps straight from its level as (p x - f y) / level[i].
-    The pivot row is brought up to date before it is used, and every row
-    once at the end.
+    row that is nonzero in it, and a column with no such row is skipped;
+    pivots lists the pairs (sel, col) in pivot order. Row t reads s_t lhs_t
+    = row . (the variables in the columns), with s_t = scales[t] and
+    gcd(s_t, *row) = 1; lhs_t is x_col once t is pivoted on col, else y_t.
+    With a the pivot and s its row's scale, every other row with b =
+    row[col] != 0 becomes a row - b prow, col entry b s and scale a s_t,
+    divided by their gcd; the pivot row becomes -prow, col entry s and
+    scale a. A row that is zero in the pivot column is left alone. Each row
+    is a nonzero multiple of its Bareiss (1968) row, so the pivots are the
+    same, but it is the least int form of its rational row, not a minor.
     """
     rows = list(rows)
     m = len(rows)
-    level = [1] * m
+    scales = [1] * m
     unused = [True] * m
     pivots = []
-    prev = 1
     for col in range(width):
         sel = next((i for i in range(m) if unused[i] and rows[i][col]), None)
         if sel is None:
             continue
-        prow = rows[sel]
-        if level[sel] != prev:
-            prow = [prev * x // level[sel] for x in prow]
-        p = prow[col]
+        prow, s = rows[sel], scales[sel]
+        a = prow[col]
         for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != sel:
-                new = rows[i] = [(p * x - f * y) // level[i] for x, y in zip(row, prow)]
-                new[col] = prev * f // level[i]
-                level[i] = p
+            b = row[col]
+            if b and i != sel:
+                # a / g and b / g give the same primitive row from smaller ints
+                g = gcd(a, b)
+                ag, bg = a // g, b // g
+                new = [ag * x - bg * y for x, y in zip(row, prow)]
+                new[col] = bg * s
+                scale = ag * scales[i]
+                g = gcd(scale, *new)
+                if g != 1:
+                    new = [v // g for v in new]
+                    scale //= g
+                rows[i], scales[i] = new, scale
         prow = rows[sel] = [-x for x in prow]
-        prow[col] = prev
-        level[sel] = p
+        prow[col] = s
+        scales[sel] = a
         unused[sel] = False
         pivots.append((sel, col))
-        prev = p
         if len(pivots) == m:
             break
-    for i, row in enumerate(rows):
-        if level[i] != prev:
-            rows[i] = [prev * x // level[i] for x in row]
-    return rows, pivots, prev
+    return rows, pivots, scales
 
 
 def _inverse(M):
     """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M.
 
-    After _exchange has pivoted every column, x_c = M^-1 y reads off row
-    row_of[c], whose entry in column c' is d times the coefficient of
-    y_row_of[c']. SingularError when M is singular.
+    After _exchange has pivoted every column, row i pivoted on c reads
+    scales[i] x_c = sum of row[col_of[r]] y_r. Each row is primitive, so
+    d = lcm(scales) > 0 is the least common denominator of M^-1.
+    SingularError when M is singular.
     """
     k = len(M)
-    rows, pivots, d = _exchange(M, k)
+    rows, pivots, scales = _exchange(M, k)
     if len(pivots) < k:
         raise SingularError("matrix is singular")
-    row_of, col_of = [0] * k, [0] * k
+    d = lcm(*scales)
+    col_of = [c for _, c in sorted(pivots)]
+    adj = [None] * k
     for i, c in pivots:
-        row_of[c], col_of[i] = i, c
-    return [[rows[i][c] for c in col_of] for i in row_of], d
+        row, f = rows[i], d // scales[i]
+        adj[c] = [f * row[j] for j in col_of]
+    return adj, d
 
 
 def _full_rank_inverse(a, n, nnz_a=None):
@@ -443,8 +441,7 @@ def penrose_identities(A, X):
 def penrose_check(A, X):
     """Evaluate the four Penrose conditions for (A, X) with exact equality:
     the report of penrose_identities, without the identity verdicts."""
-    _check_pair(A, X)
-    return _penrose(A.nums, X.nums, A.den * X.den)[0]
+    return penrose_identities(A, X)[0]
 
 
 def rat_matrix_mod_p(A, p):

@@ -22,7 +22,7 @@ from mpinc.designs import (
 from mpinc.errors import DesignParseError, ParameterError
 from mpinc.linalg import (
     RatMatrix,
-    _full_rank_inverse,
+    _exchange,
     penrose_check,
     pseudoinverse_oracle,
 )
@@ -333,14 +333,14 @@ def test_entry_classes_modal_tie_prefers_smaller():
 
 
 def test_survey_one_with_negative_pivot_and_modal_tie():
-    # M_1 of these five blocks is square and nonsingular, and the last
-    # Bareiss pivot of its inversion is negative. Class i = 0 holds -2/3
-    # and -1/3 four times each, so the tie must break toward -2/3 on the
-    # rationals, whatever the sign of the pivot the ints were scaled by.
+    # M_1 of these five blocks is square and nonsingular, and some row
+    # scale of its inversion is negative. Class i = 0 holds -2/3 and -1/3
+    # four times each, so the tie must break toward -2/3 on the rationals,
+    # whatever the sign of the scale the ints were read off with.
     D = Design(v=5, blocks=((1, 2, 3), (1, 4, 5), (1, 2, 4), (1, 2, 5), (2, 3, 4)),
                k=3, name="tie")
     M = build_design_incidence(D, 1)
-    assert _full_rank_inverse(M.to_rat_matrix().nums, M.cols)[1] < 0
+    assert min(_exchange(M.to_rat_matrix().nums, M.cols)[2]) < 0
     classes, report, exceptions = _survey_one(D, 1)
     X = pseudoinverse_oracle(M.to_rat_matrix())
     assert (classes, exceptions) == entry_classes(D.name, D.blocks, M.row_labels, X)

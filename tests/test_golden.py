@@ -70,6 +70,7 @@ CASES = {
     "verify_subspace_two_sided": "verify subspace --n 3 --q 2 --r 1 --c 2",
     "verify_subspace_right": "verify subspace --n 4 --q 2 --r 1 --c 2",
     "verify_subspace_left": "verify subspace --n 2 --q 3 --r 1 --c 2",
+    "verify_subspace_square_mid": "verify subspace --n 5 --q 2 --r 2 --c 3",
     "verify_design_s1": f"verify design --file {FANO} --s 1",
     "verify_design_s2": f"verify design --file {PAIRS} --s 2",
     "verify_design_s3": f"verify design --file {FANO} --s 3",

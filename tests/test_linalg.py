@@ -1,6 +1,6 @@
 import ast
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -538,23 +538,25 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_exchange_reads_as_the_exchanged_system(rows):
     # pivot (i, j) exchanges y_i and x_j in y = A x, so with I the pivot
-    # rows and J the pivot columns, row t of the result gives d x_j (t = i
-    # pivoted on j) or d y_t (t not in I) from y_I and the other x; the
-    # check runs on x = each unit vector, y = that column of A
+    # rows and J the pivot columns, row t of the result gives s_t x_j (t =
+    # i pivoted on j) or s_t y_t (t not in I) from y_I and the other x, with
+    # s_t = scales[t] and the row primitive; the check runs on x = each unit
+    # vector, y = that column of A
     m, n = len(rows), len(rows[0])
-    reduced, pivots, d = mpinc.linalg._exchange(rows, n)
+    reduced, pivots, scales = mpinc.linalg._exchange(rows, n)
     _, rank, ref_pivots = rref_rational(M(rows))
     I, J = [i for i, _ in pivots], [j for _, j in pivots]
     assert tuple(J) == ref_pivots
     assert len(set(I)) == rank
     assert leibniz_determinant([[rows[i][j] for j in J] for i in I]) != 0
+    assert all(gcd(s, *row) == 1 for s, row in zip(scales, reduced))
     row_of, col_of = {j: i for i, j in pivots}, dict(pivots)
     for k in range(n):
         x, y = [int(j == k) for j in range(n)], [row[k] for row in rows]
         known = [y[row_of[j]] if j in row_of else x[j] for j in range(n)]
         for t, row in enumerate(reduced):
             lhs = x[col_of[t]] if t in col_of else y[t]
-            assert d * lhs == sum(map(mul, row, known))
+            assert scales[t] * lhs == sum(map(mul, row, known))
     if m != n:
         return
     if rank < n:
@@ -562,10 +564,23 @@ def test_exchange_reads_as_the_exchanged_system(rows):
             mpinc.linalg._inverse(rows)
         return
     adj, d = mpinc.linalg._inverse(rows)
-    assert d in (leibniz_determinant(rows), -leibniz_determinant(rows))
     augmented, _, _ = rref_rational(M([row + [int(i == j) for j in range(n)]
                                        for i, row in enumerate(rows)]))
-    assert RatMatrix(n, n, d, adj) == M([list(augmented.row(i))[n:] for i in range(n)])
+    inverse = M([list(augmented.row(i))[n:] for i in range(n)])
+    # d is the least common denominator of the inverse, a divisor of det
+    assert RatMatrix(n, n, d, adj) == inverse
+    assert d == inverse.den
+    assert leibniz_determinant(rows) % d == 0
+
+
+def test_inverse_of_a_gram_has_the_least_denominator():
+    # the Gram A A^T of set (8; 2, 4) is 28 x 28 and its determinant has
+    # 93 bits, but its inverse needs only the denominator 180
+    A = build_incidence(8, 1, 2, 4).to_rat_matrix().nums
+    gram = mpinc.linalg._matmul(A, mpinc.linalg._transpose(A, 70), 28)
+    adj, d = mpinc.linalg._inverse(gram)
+    assert (len(adj), d) == (28, 180)
+    assert RatMatrix(28, 28, d, adj) @ RatMatrix(28, 28, 1, gram) == RatMatrix.identity(28)
 
 
 @settings(max_examples=60, deadline=None)

@@ -127,6 +127,13 @@ def test_expand_matches_oracle_small():
                 assert penrose_check(A, X).all_ok
 
 
+def test_expand_matches_oracle_past_the_sweep():
+    # set (10; 3, 4), 120 x 210, is the first set pair past the n <= 8 sweep
+    A = build_incidence(10, 1, 3, 4).to_rat_matrix()
+    assert (A.rows, A.cols) == (120, 210)
+    assert expand_class_matrix(class_matrix(10, 1, 3, 4)) == pseudoinverse_oracle(A)
+
+
 def test_regime_identities_small():
     for (n, r, c) in [(6, 2, 3), (5, 2, 3), (4, 1, 3), (4, 2, 3), (3, 1, 2)]:
         A = build_incidence(n, 1, r, c).to_rat_matrix()
