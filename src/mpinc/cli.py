@@ -251,11 +251,12 @@ def _cmd_survey(args):
 
 def _cmd_calc(args):
     if args.func == "binomial":
-        print(binomial(args.n, args.m))
+        value = binomial(args.n, args.m)
     elif args.func == "gaussian":
-        print(gaussian_binomial(args.n, args.m, args.q))
+        value = gaussian_binomial(args.n, args.m, args.q)
     else:
-        print(q_integer(args.n, args.q))
+        value = q_integer(args.n, args.q)
+    _emit([f"{value}\n"], None)
     return EXIT_OK
 
 
@@ -284,96 +285,127 @@ def _field_order(text):
     return q
 
 
-def _add_kinds(command):
-    """The set, subspace and design subparsers of one command, in that order.
+# command -> its help, its run function, the dest its second word sets and
+# the leaves that word names, in help order; survey is a leaf itself
+_FAMILY = ("set", "subspace", "design")
+_COMMANDS = {
+    "build": ("emit an incidence matrix", _cmd_build, "kind", _FAMILY),
+    "mpinv": ("emit the closed-form Moore-Penrose inverse", _cmd_mpinv, "kind", _FAMILY),
+    "verify": ("check closed form against the oracle", _cmd_verify, "kind", _FAMILY),
+    "survey": ("survey M_s inverses across designs", _cmd_survey, None, ()),
+    "calc": ("scalar combinatorial functions", _cmd_calc, "func",
+             ("binomial", "gaussian", "qint")),
+}
+
+
+def _fill_leaf(p, command, kind=None):
+    """Add the arguments of the leaf `mpinc command kind` to p and return p:
+    the one definition that the whole tree and a leaf built alone share.
 
     set and subspace share one family: both carry q, which is 1 for sets.
     """
-    kinds = command.add_subparsers(dest="kind", required=True)
-    p_set, p_subspace = kinds.add_parser("set"), kinds.add_parser("subspace")
-    for pk in (p_set, p_subspace):
-        pk.add_argument("--n", type=int, required=True)
-        pk.add_argument("--r", type=int, required=True)
-        pk.add_argument("--c", type=int, required=True)
-    p_set.set_defaults(q=1)
-    p_subspace.add_argument("--q", type=_field_order, required=True,
-                            help="prime power field order")
-    return p_set, p_subspace, kinds.add_parser("design")
+    if command == "calc":
+        p.add_argument("n", type=int)
+        if kind != "qint":
+            p.add_argument("m", type=int)
+        if kind != "binomial":
+            p.add_argument("--q", type=int, required=True)
+    elif command == "survey":
+        p.add_argument("--dir", required=True, help="directory of design files")
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", type=int,
+                       help="design strength when files have no header")
+        p.add_argument("--out")
+    else:
+        if kind == "design":
+            helps = command != "verify"  # verify's design options carry no help
+            p.add_argument("--file", required=True, help="design file" if helps else None)
+            p.add_argument("--s", type=int, required=True,
+                           help="subset size" if helps else None)
+            if command != "build":
+                p.add_argument("--t", type=int,
+                               help="design strength when the file has no header" if helps else None)
+        else:
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--r", type=int, required=True)
+            p.add_argument("--c", type=int, required=True)
+            if kind == "set":
+                p.set_defaults(q=1)
+            else:
+                p.add_argument("--q", type=_field_order, required=True,
+                               help="prime power field order")
+            if command == "mpinv":
+                p.add_argument("--expand", action="store_true",
+                               help="emit the full matrix instead of class values")
+        if command == "verify":
+            p.add_argument("--out", help="write the report to this path")
+        else:
+            if command == "mpinv":
+                p.add_argument("--mod", type=int, metavar="P",
+                               help="reduce entries to GF(P); exits 3 when inadmissible")
+            _add_output_options(p)
+    p.set_defaults(run=_COMMANDS[command][1])
+    return p
 
 
 @cache
 def build_parser():
-    """The mpinc argument parser, built once per process and shared."""
+    """The whole mpinc argument parser, built once per process and shared.
+
+    main parses a command that names a leaf with that leaf alone; the tree
+    parses, and reports, every other argv.
+    """
     parser = argparse.ArgumentParser(
         prog="mpinc",
         description="Exact Moore-Penrose inverses of set, subspace, and design "
                     "incidence matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    *family, p_design = _add_kinds(sub.add_parser("build", help="emit an incidence matrix"))
-    p_design.add_argument("--file", required=True, help="design file")
-    p_design.add_argument("--s", type=int, required=True, help="subset size")
-    for pk in (*family, p_design):
-        _add_output_options(pk)
-        pk.set_defaults(run=_cmd_build)
-
-    *family, p_design = _add_kinds(
-        sub.add_parser("mpinv", help="emit the closed-form Moore-Penrose inverse")
-    )
-    p_design.add_argument("--file", required=True, help="design file")
-    p_design.add_argument("--s", type=int, required=True, help="subset size")
-    p_design.add_argument("--t", type=int, help="design strength when the file has no header")
-    for pk in family:
-        pk.add_argument("--expand", action="store_true",
-                        help="emit the full matrix instead of class values")
-    for pk in (*family, p_design):
-        pk.add_argument("--mod", type=int, metavar="P",
-                        help="reduce entries to GF(P); exits 3 when inadmissible")
-        _add_output_options(pk)
-        pk.set_defaults(run=_cmd_mpinv)
-
-    *family, p_design = _add_kinds(
-        sub.add_parser("verify", help="check closed form against the oracle")
-    )
-    p_design.add_argument("--file", required=True)
-    p_design.add_argument("--s", type=int, required=True)
-    p_design.add_argument("--t", type=int)
-    for pk in (*family, p_design):
-        pk.add_argument("--out", help="write the report to this path")
-        pk.set_defaults(run=_cmd_verify)
-
-    p_survey = sub.add_parser("survey", help="survey M_s inverses across designs")
-    p_survey.add_argument("--dir", required=True, help="directory of design files")
-    p_survey.add_argument("--s", type=int, required=True)
-    p_survey.add_argument("--t", type=int,
-                          help="design strength when files have no header")
-    p_survey.add_argument("--out")
-    p_survey.set_defaults(run=_cmd_survey)
-
-    p_calc = sub.add_parser("calc", help="scalar combinatorial functions")
-    calc_kinds = p_calc.add_subparsers(dest="func", required=True)
-    pc = calc_kinds.add_parser("binomial")
-    pc.add_argument("n", type=int)
-    pc.add_argument("m", type=int)
-    pc.set_defaults(run=_cmd_calc)
-    pc = calc_kinds.add_parser("gaussian")
-    pc.add_argument("n", type=int)
-    pc.add_argument("m", type=int)
-    pc.add_argument("--q", type=int, required=True)
-    pc.set_defaults(run=_cmd_calc)
-    pc = calc_kinds.add_parser("qint")
-    pc.add_argument("n", type=int)
-    pc.add_argument("--q", type=int, required=True)
-    pc.set_defaults(run=_cmd_calc)
-
+    for command, (help_text, _, dest, kinds) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if dest is None:
+            _fill_leaf(p, command)
+            continue
+        leaves = p.add_subparsers(dest=dest, required=True)
+        for kind in kinds:
+            _fill_leaf(leaves.add_parser(kind), command, kind)
     return parser
 
 
+@cache
+def _leaf_parser(*words):
+    """The leaf named by words, (command, kind) or (survey,), built alone
+    with the prog it has in the whole tree, once per process."""
+    return _fill_leaf(argparse.ArgumentParser(prog=" ".join(("mpinc", *words))), *words)
+
+
+def _parse_args(argv):
+    """The namespace build_parser().parse_args(argv) gives, or its exit.
+
+    When the first words name a leaf, that leaf alone parses the rest and
+    the words themselves are the command and kind (func for calc): the
+    tree's upper levels only hand the rest down. Any other argv, and one
+    that leaves words over (argparse reports those at the top level), goes
+    through the whole tree.
+    """
+    words = sys.argv[1:] if argv is None else list(argv)
+    spec = _COMMANDS.get(words[0]) if words else None
+    if spec is not None:
+        *_, dest, kinds = spec
+        depth = 1 if dest is None else 2 if len(words) > 1 and words[1] in kinds else 0
+        if depth:
+            args, extras = _leaf_parser(*words[:depth]).parse_known_args(words[depth:])
+            if not extras:
+                args.command = words[0]
+                if dest is not None:
+                    setattr(args, dest, words[1])
+                return args
+    return build_parser().parse_args(words)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.run(args)
     except (CharacteristicError, NotReducibleError) as exc:
         print(f"mpinc: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -541,6 +542,28 @@ def test_closed_stdout_pipe_exits_0():
     assert proc.wait(timeout=120) == 0
     assert err == b""
     assert first.startswith(b"1/28,") and first.endswith(b"\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_calc_into_a_closed_pipe_exits_0(unbuffered):
+    # the reader is gone before calc writes its one line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpinc", "calc", "binomial", "7", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_missing_input_file_is_usage_error(capsys, tmp_path):
