@@ -45,8 +45,6 @@ from .errors import (
 from .gf import (
     FieldSpec,
     build_field,
-    gf_add,
-    gf_mul,
     render_element,
 )
 from .linalg import (
@@ -93,8 +91,6 @@ __all__ = [
     "gauss_binomial_formula_check",
     "FieldSpec",
     "build_field",
-    "gf_add",
-    "gf_mul",
     "render_element",
     "RatMatrix",
     "IncidenceMatrix",

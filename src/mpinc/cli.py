@@ -2,8 +2,8 @@
 verify them against the oracle, survey design collections, and expose the
 scalar combinatorial functions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-3 characteristic inadmissibility.
+Exit codes: 0 success, 1 verification failure, 2 usage/input error
+(running out of memory included), 3 characteristic inadmissibility.
 """
 
 import argparse
@@ -412,6 +412,10 @@ def main(argv=None):
         return EXIT_CHARACTERISTIC
     except (MpincError, OSError) as exc:
         print(f"mpinc: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # too large for this machine is an input error, not a failed check
+        print("mpinc: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

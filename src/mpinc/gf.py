@@ -1,13 +1,17 @@
 """GF(q) arithmetic for prime powers q.
 
-Elements are little-endian coefficient tuples of length e over GF(p),
-q = p^e. The field model is pinned: the modulus is the lexicographically
-least monic irreducible polynomial of degree e over GF(p), coefficient
-sequences compared low-degree-first. Sums and products are table-driven;
-tables are built for enumeration work only (q <= 9). factor_prime_power
-accepts any prime power, so class values need no tables.
+An element of GF(q), q = p^e, is the int k in range(q) whose base-p digits
+c_0, ..., c_{e-1} (c_0 first) are its coefficients over GF(p): k stands
+for sum c_i x^i. So 0 and 1 are the field's zero and one, and range(q)
+lists the elements in the pinned order. The field model is pinned too:
+the modulus is the lexicographically least monic irreducible polynomial
+of degree e over GF(p), coefficient sequences compared low-degree-first.
+Sums and products are read from q x q tables, built for enumeration work
+only (q <= 9). factor_prime_power accepts any prime power, so class values
+need no tables.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -59,91 +63,42 @@ def _irreducible(poly, p):
     return True
 
 
-class FieldSpec:
-    """A concrete model of GF(q): q = p^e plus the pinned modulus polynomial.
-
-    Carries precomputed add/mul tables keyed by coefficient tuples.
-    Immutable after construction; identity is (q, modulus).
+class FieldSpec(namedtuple("FieldSpec", "q p e modulus add mul")):
+    """A concrete model of GF(q): q = p^e, the pinned modulus polynomial
+    (little-endian, monic; x itself when e = 1), and the tables of the int
+    elements: add[a][b] = a + b and mul[a][b] = a b, q x q tuples of ints.
     """
 
-    __slots__ = ("q", "p", "e", "modulus", "zero", "one", "elements",
-                 "_add", "_mul")
-
-    def __init__(self, q):
-        p, e = factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.e = e
-        self.modulus = self._least_irreducible(p, e)
-        self.elements = tuple(
-            tuple(reversed(t)) for t in product(range(p), repeat=e)
-        )
-        # product() varies the last coordinate fastest; reversing each tuple
-        # makes c0 the fastest, so index k encodes sum(c_i * p^i).
-        self.zero = self.elements[0]
-        self.one = self.elements[1]
-        self._build_tables()
-
-    @staticmethod
-    def _least_irreducible(p, e):
-        if e == 1:
-            return (0, 1)  # x itself; arithmetic below never divides by it
-        for tail in product(range(p), repeat=e):
-            cand = tail + (1,)
-            if _irreducible(cand, p):
-                return cand
-        raise InvalidFieldError(f"no irreducible polynomial found for p={p}, e={e}")
-
-    def _build_tables(self):
-        p = self.p
-        self._add = {}
-        self._mul = {}
-        for a in self.elements:
-            for b in self.elements:
-                self._add[(a, b)] = tuple((x + y) % p for x, y in zip(a, b))
-                self._mul[(a, b)] = self._poly_mulmod(a, b)
-
-    def _poly_mulmod(self, a, b):
-        p, e = self.p, self.e
-        raw = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] = (raw[i + j] + x * y) % p
-        if e == 1:
-            return (raw[0] % p,)
-        return tuple(_poly_rem(raw, self.modulus, p))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.q == other.q
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.modulus))
-
-    def __repr__(self):
-        return f"FieldSpec(q={self.q}, p={self.p}, e={self.e}, modulus={self.modulus})"
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
 def build_field(q):
     """FieldSpec for GF(q); InvalidFieldError when q is not a prime power."""
-    return FieldSpec(q)
+    p, e = factor_prime_power(q)
+    # product() varies the last coordinate fastest, so the tails run
+    # through the monic polynomials low-degree-first lexicographically
+    monics = (tail + (1,) for tail in product(range(p), repeat=e))
+    modulus = next(poly for poly in monics if _irreducible(poly, p))
+    digits = [[k // p**i % p for i in range(e)] for k in range(q)]
 
+    def code(coefs):
+        return sum(c * p**i for i, c in enumerate(coefs))
 
-def gf_add(a, b, f):
-    return f._add[(a, b)]
+    def times(a, b):
+        raw = [0] * (2 * e - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                raw[i + j] = (raw[i + j] + x * y) % p
+        return _poly_rem(raw, modulus, p)
 
-
-def gf_mul(a, b, f):
-    return f._mul[(a, b)]
+    add = tuple(tuple(code((x + y) % p for x, y in zip(a, b)) for b in digits) for a in digits)
+    mul = tuple(tuple(code(times(a, b)) for b in digits) for a in digits)
+    return FieldSpec(q, p, e, modulus, add, mul)
 
 
 def render_element(a, f):
     """Display form: the integer itself for prime fields, [c0,c1,...] otherwise."""
     if f.e == 1:
-        return str(a[0])
-    return "[" + ",".join(str(c) for c in a) + "]"
+        return str(a)
+    return "[" + ",".join(str(a // f.p**i % f.p) for i in range(f.e)) + "]"

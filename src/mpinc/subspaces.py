@@ -18,7 +18,7 @@ Labels are pinned. Subsets are tuples in colexicographic order. A subspace is
 identified by its canonical basis: the unique reduced row echelon form with
 zero rows trimmed. Subspaces are ordered by pivot column sets in
 colexicographic order, then free entries in row-major lexicographic order
-over the field elements (ordered by their integer encoding sum c_i p^i).
+over the field elements, which are the ints 0 to q - 1 (see mpinc.gf).
 """
 
 from collections import defaultdict, namedtuple
@@ -29,7 +29,7 @@ from struct import Struct
 
 from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
-from .gf import build_field, factor_prime_power, gf_add, gf_mul
+from .gf import build_field, factor_prime_power
 from .linalg import IncidenceMatrix, RatMatrix, scaled_ints
 
 
@@ -49,8 +49,9 @@ class SubspaceBasis(namedtuple("SubspaceBasis", "n field basis pivots points")):
     """Canonical representative of one subspace of GF(q)^n.
 
     basis is the tuple of its rows in reduced row echelon form, one per
-    dimension, and points its frozenset of projective points; two equal
-    subspaces always produce identical SubspaceBasis values.
+    dimension, each a tuple of int field elements, and points its frozenset
+    of projective points, tuples of the same kind; two equal subspaces
+    always produce identical SubspaceBasis values.
     """
 
     __slots__ = ()
@@ -64,14 +65,15 @@ def _span_points(f, rows):
     coefficient, so these are the combinations whose first nonzero
     coefficient is 1, listed without normalising.
     """
+    add, mul = f.add, f.mul
     out = []
     for lead, first in enumerate(rows):
         later = rows[lead + 1 :]
-        for coefs in product(f.elements, repeat=len(later)):
+        for coefs in product(range(f.q), repeat=len(later)):
             v = first
             for a, row in zip(coefs, later):
-                if a != f.zero:
-                    v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
+                if a:
+                    v = tuple(add[x][mul[a][y]] for x, y in zip(v, row))
             out.append(v)
     return frozenset(out)
 
@@ -101,10 +103,10 @@ def enumerate_subspaces(n, q, r):
             for j in range(pivots[i] + 1, n)
             if j not in pivot_pos
         ]
-        template = [[f.zero] * n for _ in range(r)]
+        template = [[0] * n for _ in range(r)]
         for i, p in enumerate(pivots):
-            template[i][p] = f.one
-        for assignment in product(f.elements, repeat=len(free)):
+            template[i][p] = 1
+        for assignment in product(range(q), repeat=len(free)):
             rows = [row[:] for row in template]
             for (i, j), value in zip(free, assignment):
                 rows[i][j] = value

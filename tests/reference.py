@@ -20,15 +20,16 @@ from mpinc.linalg import IncidenceMatrix, PenroseReport, RatMatrix
 # off the field's tables
 
 def element(f, value):
-    """Coerce an int (for prime fields) or coefficient sequence to an element of f."""
+    """The int element of f for an int (prime fields only) or for its
+    coefficients c_0, c_1, ... over GF(p): sum c_i p^i, each c_i taken mod p."""
     if isinstance(value, int):
         if f.e == 1:
-            return (value % f.p,)
+            return value % f.p
         raise InvalidFieldError(f"GF({f.q}) elements need {f.e} coefficients, got int")
     t = tuple(int(c) % f.p for c in value)
     if len(t) != f.e:
         raise InvalidFieldError(f"GF({f.q}) elements need {f.e} coefficients, got {len(t)}")
-    return t
+    return sum(c * f.p**i for i, c in enumerate(t))
 
 
 def from_rows(rows, f):
@@ -45,14 +46,14 @@ def to_rows(A):
 
 def gf_neg(a, f):
     """The b with a + b = 0, found in the addition table."""
-    return next(b for b in f.elements if f._add[(a, b)] == f.zero)
+    return next(b for b in range(f.q) if f.add[a][b] == 0)
 
 
 def gf_inv(a, f):
     """The b with a b = 1, found in the multiplication table."""
-    if a == f.zero:
+    if a == 0:
         raise ZeroDivisionError(f"0 has no inverse in GF({f.q})")
-    return next(b for b in f.elements if f._mul[(a, b)] == f.one)
+    return next(b for b in range(f.q) if f.mul[a][b] == 1)
 
 
 def rref_gf(A, f):
@@ -61,20 +62,20 @@ def rref_gf(A, f):
     Zero rows are trimmed, so the rref has exactly rank rows.
     """
     rows = to_rows(A)
-    add, mul = f._add, f._mul
+    add, mul = f.add, f.mul
     pivots = []
     for col in range(len(A[0]) if A else 0):
         rank = len(pivots)
-        sel = next((i for i in range(rank, len(rows)) if rows[i][col] != f.zero), None)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
         s = gf_inv(rows[rank][col], f)
-        prow = rows[rank] = [mul[(s, x)] for x in rows[rank]]
+        prow = rows[rank] = [mul[s][x] for x in rows[rank]]
         for i, row in enumerate(rows):
-            if i != rank and row[col] != f.zero:
+            if i != rank and row[col]:
                 nf = gf_neg(row[col], f)
-                rows[i] = [add[(x, mul[(nf, y)])] for x, y in zip(row, prow)]
+                rows[i] = [add[x][mul[nf][y]] for x, y in zip(row, prow)]
         pivots.append(col)
     rank = len(pivots)
     return tuple(map(tuple, rows[:rank])), rank, tuple(pivots)

@@ -28,7 +28,6 @@ from mpinc.designs import (
     parse_design,
     validated_design,
 )
-from mpinc.gf import build_field
 from mpinc.linalg import (
     RatMatrix,
     penrose_check,
@@ -137,8 +136,7 @@ def test_criterion_03_subspace_closed_form_equals_oracle(q_sweep):
 def _coordinate_subspace(n, q, pivots):
     """The enumerated subspace spanned by the given standard basis vectors,
     whose rows are already its rref."""
-    f = build_field(q)
-    basis = tuple(tuple(f.one if j == p else f.zero for j in range(n)) for p in pivots)
+    basis = tuple(tuple(int(j == p) for j in range(n)) for p in pivots)
     return next(S for S in enumerate_subspaces(n, q, len(basis)) if S.basis == basis)
 
 

@@ -327,6 +327,20 @@ def test_verify_regime_identity_failure_exits_1(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "regime identity M*M=I fails\n")
 
 
+@pytest.mark.parametrize("callee, argv", [
+    ("build_incidence", ["build", "set", "--n", "30", "--r", "15", "--c", "15", "--format", "mtx"]),
+    ("pseudoinverse_oracle", ["verify", "set", "--n", "4", "--r", "1", "--c", "2"]),
+])
+def test_out_of_memory_exits_2(capsys, monkeypatch, callee, argv):
+    # exit 1 would read as a failed verification; memory is never exhausted
+    # for real here, the callee raises as an allocation would
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(f"mpinc.cli.{callee}", exhausted)
+    assert run(capsys, argv) == (2, "", "mpinc: out of memory\n")
+
+
 def test_verify_design_penrose_failure_exits_1(capsys, monkeypatch):
     def bumped_oracle(A):
         return add_one_at(pseudoinverse_oracle(A), 0, 0)

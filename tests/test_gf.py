@@ -1,7 +1,7 @@
 import pytest
 
 from mpinc.errors import InvalidFieldError
-from mpinc.gf import build_field, factor_prime_power, gf_add, gf_mul, render_element
+from mpinc.gf import build_field, factor_prime_power, render_element
 from reference import element, from_rows, gf_inv, gf_neg, rref_gf, to_rows
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -69,52 +69,60 @@ def test_factor_prime_power_large():
 
 
 def test_element_ordering_encodes_integers():
+    # element k has the base-p digits of k as coefficients, c0 first
     f = build_field(9)
-    assert f.elements[0] == (0, 0)
-    assert f.elements[1] == (1, 0)
-    assert f.elements[3] == (0, 1)  # index = c0 + 3*c1
-    assert f.elements[5] == (2, 1)
+    for k, coefs in [(0, (0, 0)), (1, (1, 0)), (3, (0, 1)), (5, (2, 1))]:
+        assert element(f, coefs) == k  # k = c0 + 3*c1
+        assert render_element(k, f) == f"[{coefs[0]},{coefs[1]}]"
+    assert [render_element(k, f) for k in range(9)] == [
+        f"[{c0},{c1}]" for c1 in range(3) for c0 in range(3)
+    ]
 
 
 def test_gf_mul_examples():
     f4 = build_field(4)
     x = element(f4, (0, 1))
-    assert gf_mul(x, x, f4) == (1, 1)  # x^2 = x + 1
+    assert f4.mul[x][x] == element(f4, (1, 1)) == 3  # x^2 = x + 1
     f5 = build_field(5)
-    assert gf_mul(element(f5, 3), element(f5, 4), f5) == (2,)
+    assert f5.mul[element(f5, 3)][element(f5, 4)] == 2
     for q in ALL_Q:
         f = build_field(q)
-        for a in f.elements:
-            assert gf_mul(a, f.one, f) == a
+        for a in range(q):
+            assert f.mul[a][1] == a
 
 
 def test_gf_inv_examples():
     f5 = build_field(5)
-    assert gf_inv(element(f5, 2), f5) == (3,)
+    assert gf_inv(element(f5, 2), f5) == 3
     f4 = build_field(4)
-    assert gf_inv(element(f4, (0, 1)), f4) == (1, 1)
+    assert gf_inv(element(f4, (0, 1)), f4) == element(f4, (1, 1))
     with pytest.raises(ZeroDivisionError):
-        gf_inv(f4.zero, f4)
+        gf_inv(0, f4)
 
 
 def test_field_axioms_exhaustive():
     for q in ALL_Q:
         f = build_field(q)
-        els = f.elements
+        add, mul = f.add, f.mul
+        els = range(q)
+        # the tables are q x q tuples of elements
+        for table in (add, mul):
+            assert type(table) is tuple and len(table) == q
+            for row in table:
+                assert type(row) is tuple and len(row) == q
+                assert all(type(x) is int and 0 <= x < q for x in row)
         for a in els:
-            assert gf_add(a, gf_neg(a, f), f) == f.zero
-            if a != f.zero:
-                assert gf_mul(a, gf_inv(a, f), f) == f.one
+            assert add[a][gf_neg(a, f)] == 0
+            if a != 0:
+                assert mul[a][gf_inv(a, f)] == 1
                 assert gf_inv(gf_inv(a, f), f) == a
         for a in els:
             for b in els:
-                assert gf_add(a, b, f) == gf_add(b, a, f)
-                assert gf_mul(a, b, f) == gf_mul(b, a, f)
+                assert add[a][b] == add[b][a]
+                assert mul[a][b] == mul[b][a]
                 for c in els:
-                    assert gf_mul(gf_mul(a, b, f), c, f) == gf_mul(a, gf_mul(b, c, f), f)
-                    assert gf_mul(a, gf_add(b, c, f), f) == gf_add(
-                        gf_mul(a, b, f), gf_mul(a, c, f), f
-                    )
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_render_element():
@@ -128,7 +136,7 @@ def test_rref_duplicate_rows():
     f = build_field(2)
     A = from_rows([[1, 1], [1, 1]], f)
     R, rank, pivots = rref_gf(A, f)
-    assert to_rows(R) == [[(1,), (1,)]]
+    assert to_rows(R) == [[1, 1]]
     assert rank == 1
     assert pivots == (0,)
 
@@ -137,7 +145,7 @@ def test_rref_permutation():
     f = build_field(2)
     A = from_rows([[0, 1], [1, 0]], f)
     R, rank, pivots = rref_gf(A, f)
-    assert to_rows(R) == [[(1,), (0,)], [(0,), (1,)]]
+    assert to_rows(R) == [[1, 0], [0, 1]]
     assert rank == 2
     assert pivots == (0, 1)
 
@@ -149,11 +157,11 @@ def test_rref_gf3_singular_case():
     R, rank, pivots = rref_gf(A, f)
     assert rank == 1
     assert pivots == (0,)
-    assert to_rows(R) == [[(1,), (2,)]]
+    assert to_rows(R) == [[1, 2]]
 
 
 def _random_gf_matrix(rng, f, rows, cols):
-    return tuple(tuple(rng.choice(f.elements) for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(rng.choice(range(f.q)) for _ in range(cols)) for _ in range(rows))
 
 
 def test_rref_idempotent(rng):

@@ -30,6 +30,8 @@ CASES = {
     "build_set_labels": "build set --n 4 --r 1 --c 2 --with-labels",
     "build_subspace_labels": "build subspace --n 3 --q 2 --r 1 --c 2 --with-labels",
     "build_subspace_gf4_labels": "build subspace --n 2 --q 4 --r 1 --c 2 --with-labels",
+    "build_subspace_gf8_labels": "build subspace --n 2 --q 8 --r 1 --c 2 --with-labels",
+    "build_subspace_gf9_labels": "build subspace --n 2 --q 9 --r 1 --c 2 --with-labels",
     "build_subspace_mtx": "build subspace --n 4 --q 2 --r 1 --c 3 --format mtx",
     "build_design_labels": f"build design --file {FANO} --s 1 --with-labels",
     "build_design_mtx": f"build design --file {PAIRS} --s 2 --format mtx",

@@ -15,7 +15,7 @@ import pytest
 
 from mpinc.designs import parse_design, survey_designs, validated_design
 from mpinc.errors import ShapeError
-from mpinc.gf import gf_add, gf_mul
+from mpinc.gf import build_field
 from mpinc.linalg import RatMatrix, penrose_check
 from mpinc.subspaces import build_incidence, class_matrix, enumerate_subspaces, expand_class_matrix
 
@@ -28,8 +28,10 @@ def _penrose_report():
     return penrose_check(M, expand_class_matrix(class_matrix(4, 1, 1, 2)))
 
 
-# enumerate_subspaces is cached; its unwrapped body builds a fresh record
+# build_field and enumerate_subspaces are cached; their unwrapped bodies
+# build fresh records
 RECORDS = {
+    "FieldSpec": lambda: build_field.__wrapped__(4),
     "RatMatrix": lambda: RatMatrix(2, 2, 3, [[1, 2], [3, 4]]),
     "IncidenceMatrix": lambda: build_incidence(3, 2, 1, 2),
     "PenroseReport": _penrose_report,
@@ -88,12 +90,12 @@ def _span_points(S):
     is 1, from every combination of its rows."""
     f = S.field
     points = set()
-    for coefs in product(f.elements, repeat=len(S.basis)):
-        v = (f.zero,) * S.n
+    for coefs in product(range(f.q), repeat=len(S.basis)):
+        v = (0,) * S.n
         for a, row in zip(coefs, S.basis):
-            v = tuple(gf_add(x, gf_mul(a, y, f), f) for x, y in zip(v, row))
-        lead = next((x for x in v if x != f.zero), None)
-        if lead == f.one:
+            v = tuple(f.add[x][f.mul[a][y]] for x, y in zip(v, row))
+        lead = next((x for x in v if x), None)
+        if lead == 1:
             points.add(v)
     return points
 
