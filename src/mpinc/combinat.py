@@ -1,6 +1,11 @@
 """Binomials, Gaussian binomials, the alternating-sum identities built on them,
 and the subsets of [1, n] in colexicographic order.
 
+all_subsets is cached per process, as subspace enumeration is: the incidence
+builders, the class rows and the design matrices ask for the same (n, r)
+again and again, and each gets the one tuple of colex tuples made for it,
+shared and immutable.
+
 Both binomial flavours use the convention that out-of-range arguments
 (anything violating 0 <= m <= n) give 0. q is always a concrete integer >= 2;
 there is no symbolic-q mode.
@@ -8,6 +13,7 @@ there is no symbolic-q mode.
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .errors import ParameterError
@@ -20,8 +26,13 @@ def binomial(n, m):
     return math.comb(n, m)
 
 
+@cache
 def all_subsets(n, r):
-    """All r-subsets of [1, n] in colexicographic order."""
+    """All r-subsets of [1, n] in colexicographic order.
+
+    Cached per process: every call with the same (n, r) returns the same
+    tuple of tuples, shared by every caller and never mutated.
+    """
     if not (0 <= r <= n):
         raise ParameterError(f"need 0 <= r <= n, got r={r}, n={n}")
     subsets = sorted(combinations(range(1, n + 1), r), key=lambda s: s[::-1])

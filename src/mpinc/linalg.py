@@ -5,10 +5,13 @@ int rows of den * A, with den the lcm of the reduced denominators of the
 entries, so equal matrices have equal fields. The commands call an
 IncidenceMatrix's to_rat_matrix once and pass that one matrix to both the
 oracle and the certificate. Every kernel runs on the int rows of a
-RatMatrix: products go through one row-sparse integer product that visits
-only nonzero entries, and elimination is one integer kernel in exchange
-form, on the k columns of the matrix rather than the 2k of [M | I], that
-keeps each row primitive: no rational arithmetic and no determinant swell.
+RatMatrix. Products go through one row-sparse integer product that visits
+only nonzero entries: it starts each output row from its first term, leaves
+a row with no nonzero a zero row, and scans whichever factor costs less,
+counting the entries that the transposes of the other route touch.
+Elimination is one integer kernel in exchange form, on the k columns of the
+matrix rather than the 2k of [M | I], that keeps each row primitive: no
+rational arithmetic and no determinant swell.
 Fractions are built only by the readers (entries, row, at and to_rows)
 and, once per distinct entry, by rat_matrix_mod_p.
 
@@ -191,16 +194,27 @@ def _nnz(rows):
 
 
 def _row_sparse_matmul(a, b, ncols):
-    # row i of a @ b is the sum of the rows of b picked by row i's nonzeros
+    """a @ b for int rows; b has ncols columns.
+
+    Row i of the product is the sum of the rows of b picked by row i's
+    nonzeros. It starts from the first of them, a fresh copy of that row of
+    b or its multiple, so a row with one nonzero costs one pass over its
+    row of b, and a row with no nonzero is a zero row, with no sum formed.
+    Every output row is a new list, never one of b's rows.
+    """
     out = []
     for arow in a:
-        acc = [0] * ncols
+        acc = None
+        # the first term is taken in the loop: holding the pair zip yields
+        # would stop zip from reusing its tuple for the rest of the row
         for x, brow in compress(zip(arow, b), arow):
-            if x == 1:
+            if acc is None:
+                acc = list(brow) if x == 1 else [x * v for v in brow]
+            elif x == 1:
                 acc = list(map(add, acc, brow))
             else:
                 acc = list(map(add, acc, map(mul, repeat(x), brow)))
-        out.append(acc)
+        out.append([0] * ncols if acc is None else acc)
     return out
 
 
@@ -209,19 +223,23 @@ def _matmul(a, b, ncols, nnz_a=None, nnz_b=None):
 
     The product scans the nonzeros of one factor and adds whole rows of the
     other, so its cost is the scanned factor's nnz times the other's width.
-    It scans a, or b through (b^T a^T)^T, whichever costs less: with a 0/1
-    incidence matrix on either side, the dense factor is never scanned.
-    nnz_a and nnz_b, when given, are the nonzero counts of a and b, passed
-    by callers that multiply by one factor more than once.
+    It scans a, or b through (b^T a^T)^T, whichever costs less; the
+    transposed route also counts the entries its three transposes touch,
+    len(a) inner + inner ncols + len(a) ncols. So with a 0/1 incidence
+    matrix on either side the dense factor is never scanned, and a factor
+    as sparse as the identity is scanned where it stands. nnz_a and nnz_b,
+    when given, are the nonzero counts of a and b, passed by callers that
+    multiply by one factor more than once.
     """
     inner = len(b)
     if nnz_a is None:
         nnz_a = _nnz(a)
     if nnz_b is None:
         nnz_b = _nnz(b)
-    if nnz_b * len(a) < nnz_a * ncols:
-        bt_at = _row_sparse_matmul(_transpose(b, ncols), _transpose(a, inner), len(a))
-        return _transpose(bt_at, len(a))
+    rows = len(a)
+    if nnz_b * rows + rows * inner + inner * ncols + rows * ncols < nnz_a * ncols:
+        bt_at = _row_sparse_matmul(_transpose(b, ncols), _transpose(a, inner), rows)
+        return _transpose(bt_at, rows)
     return _row_sparse_matmul(a, b, ncols)
 
 

@@ -583,6 +583,91 @@ def test_inverse_of_a_gram_has_the_least_denominator():
     assert RatMatrix(28, 28, d, adj) @ RatMatrix(28, 28, 1, gram) == RatMatrix.identity(28)
 
 
+@st.composite
+def product_factors(draw):
+    """(a, b, ncols): int factors m x k and k x ncols, any size 0 to 5,
+    rows as lists or as tuples. Each row is drawn whole, all zero, or with
+    one nonzero, and a column of either factor may be zeroed; entries are
+    mostly 0, else 1, -1 or any int up to 2^70."""
+    m, k, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.sampled_from((1, -1)), st.integers(-2**70, 2**70))
+
+    def factor(rows, cols):
+        mat = []
+        for _ in range(rows):
+            shape = draw(st.sampled_from(("whole", "zero", "one")))
+            row = [0] * cols
+            if shape == "whole":
+                row = draw(st.lists(entry, min_size=cols, max_size=cols))
+            elif shape == "one" and cols:
+                row[draw(st.integers(0, cols - 1))] = draw(entry.filter(bool))
+            mat.append(row)
+        if cols and draw(st.booleans()):
+            j = draw(st.integers(0, cols - 1))
+            for row in mat:
+                row[j] = 0
+        return mat
+
+    a, b = factor(m, k), factor(k, ncols)
+    if draw(st.booleans()):
+        a, b = [tuple(row) for row in a], [tuple(row) for row in b]
+    return a, b, ncols
+
+
+def plain_product(a, b, ncols):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(ncols)]
+            for i in range(len(a))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_factors())
+@example(([[0, 0], [3, 0]], [[1, 2], [0, 0]], 2))
+@example(([], [[1, 2]], 2))
+@example(([[], []], [], 3))
+def test_products_equal_the_triple_loop(factors):
+    # each product is plain a @ b on rows that are empty, hold one nonzero
+    # or any ints, and no output row is one of b's rows, so mutating every
+    # output row leaves b as it was
+    a, b, ncols = factors
+    m, inner = len(a), len(b)
+    want = plain_product(a, b, ncols)
+    before = [list(row) for row in b]
+    transpose, row_sparse = mpinc.linalg._transpose, mpinc.linalg._row_sparse_matmul
+    products = (
+        mpinc.linalg._matmul(a, b, ncols),
+        row_sparse(a, b, ncols),
+        transpose(row_sparse(transpose(b, ncols), transpose(a, inner), m), m),
+    )
+    for out in products:
+        assert out == want
+        assert not {id(row) for row in out} & {id(row) for row in b}
+        for row in out:
+            row[:] = [7] * (ncols + 1)
+        assert [list(row) for row in b] == before
+
+
+def test_an_identity_factor_is_scanned_where_it_stands(monkeypatch):
+    # the oracle of the PG(3,2) lines' M_3 (455 x 35, Gram I) multiplies
+    # adj = I by A^T, 35 x 455 with one nonzero per row: three transposes
+    # would cost more than scanning the 35 nonzeros of I directly
+    identity = [[int(i == j) for j in range(35)] for i in range(35)]
+    sparse = [[int(j == 13 * i) for j in range(455)] for i in range(35)]
+    calls = []
+    transpose = mpinc.linalg._transpose
+
+    def counted(*args):
+        calls.append(args)
+        return transpose(*args)
+
+    monkeypatch.setattr(mpinc.linalg, "_transpose", counted)
+    assert mpinc.linalg._matmul(identity, sparse, 455) == sparse
+    assert calls == []
+    # the oracle transposes A once, for A^T, and forms both products directly
+    A = pg32_lines_m3()
+    assert pseudoinverse_oracle(A) == A.transpose()
+    assert len(calls) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
 def test_incidence_matrix_densifies_to_its_indicator_rows(m, n, data):

@@ -50,6 +50,22 @@ def test_all_subsets_order_is_colex():
     )
 
 
+def test_all_subsets_is_cached_and_stays_colex():
+    # a repeated call returns the one tuple made for (n, r), equal to a
+    # fresh listing, and the colex tests read the same on a warm cache
+    first = all_subsets(6, 3)
+    assert all_subsets(6, 3) is first
+    assert type(first) is tuple and all(type(S) is tuple for S in first)
+    assert first == all_subsets.__wrapped__(6, 3)
+    for n in range(0, 9):
+        for r in range(0, n + 1):
+            all_subsets(n, r)
+    test_all_subsets_order_is_colex()
+    test_rank_unrank_inverse_exhaustive()
+    with pytest.raises(ParameterError, match=r"^need 0 <= r <= n, got r=4, n=3$"):
+        all_subsets(3, 4)
+
+
 def test_incidence_r_equals_c_is_identity():
     assert build_incidence(2, 1, 1, 1).to_rat_matrix() == RatMatrix.identity(2)
     assert build_incidence(4, 1, 2, 2).to_rat_matrix() == RatMatrix.identity(6)
