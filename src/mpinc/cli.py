@@ -318,13 +318,11 @@ def _fill_leaf(p, command, kind=None):
         p.add_argument("--out")
     else:
         if kind == "design":
-            helps = command != "verify"  # verify's design options carry no help
-            p.add_argument("--file", required=True, help="design file" if helps else None)
-            p.add_argument("--s", type=int, required=True,
-                           help="subset size" if helps else None)
+            p.add_argument("--file", required=True, help="design file")
+            p.add_argument("--s", type=int, required=True, help="subset size")
             if command != "build":
                 p.add_argument("--t", type=int,
-                               help="design strength when the file has no header" if helps else None)
+                               help="design strength when the file has no header")
         else:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--r", type=int, required=True)

@@ -2,10 +2,14 @@
 closed-form inverse of M_1, and the structure survey across designs.
 
 Design file format (bit-exact):
+  - ASCII; a line ends at \n, \r\n or \r and nowhere else (universal
+    newlines), and lines are numbered from 1 in that sense
   - optional first line "# t v k lambda", four integers declared as a comment
-  - every other non-comment, non-blank line is one block: space-separated,
-    strictly increasing 1-based point indices
+  - every other non-comment, non-blank line is one block: strictly
+    increasing 1-based point indices separated by whitespace (space, \t,
+    \v, \f or \x1c-\x1f)
   - v is the maximum point index unless the header declares it
+  - a malformed file is refused naming its first faulty line
 
 Blocks may repeat ("collection", not "set"); M_s then has duplicate columns
 and every result is still checked, not assumed.
@@ -47,73 +51,63 @@ def parse_design(path):
     """Read the design file at path into an unvalidated Design named after
     the file.
 
-    The file must be ASCII. Header parameters, when present, are kept in
-    .declared and v/k are cross-checked; without a header v is inferred as
-    the largest point seen. t and lam stay unset until validated_design()
-    has counted them.
+    One pass over the ASCII lines checks each block as it is read, so the
+    first faulty line is the one named. Header parameters, when present, are
+    kept in .declared; without a header v is the largest point seen. t and
+    lam stay unset until validated_design() has counted them.
     """
     label = os.path.basename(path)
 
     def malformed(message, lineno):
         return DesignParseError(message, line=lineno, source=label)
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        where = raw.count(b"\n", 0, exc.start) + 1
-        raise malformed(f"byte {raw[exc.start]:#x} is not ASCII", where) from None
-
     declared = None
     blocks = []
-    block_lines = []
     k = None
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if lineno == 1:
-                fields = line[1:].split()
-                if len(fields) == 4:
-                    try:
-                        declared = tuple(int(x) for x in fields)
-                    except ValueError:
-                        declared = None
-            continue
-        try:
-            points = tuple(int(x) for x in line.split())
-        except ValueError:
-            raise malformed(f"non-integer point in block {line!r}", lineno)
-        if min(points) < 1:
-            raise malformed(f"point {min(points)} is out of range; points are 1-based", lineno)
-        if any(x >= y for x, y in zip(points, points[1:])):
-            raise malformed(f"block {points} is not strictly increasing", lineno)
-        if k is None:
-            k = len(points)
-        elif len(points) != k:
-            raise malformed(f"block size {len(points)} differs from earlier size {k}", lineno)
-        blocks.append(points)
-        block_lines.append(lineno)
+    v = 0
+    lineno = 1
+    # latin-1 reads one char per byte; universal newlines end lines at \n, \r\n, \r
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(c for c in line if not c.isascii())
+                raise malformed(f"byte {ord(byte):#x} is not ASCII", lineno)
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if lineno == 1:
+                    fields = line[1:].split()
+                    if len(fields) == 4:
+                        try:
+                            declared = tuple(int(x) for x in fields)
+                            v = declared[1]
+                        except ValueError:
+                            declared = None
+                continue
+            try:
+                points = tuple(int(x) for x in line.split())
+            except ValueError:
+                raise malformed(f"non-integer point in block {line!r}", lineno)
+            if min(points) < 1:
+                raise malformed(f"point {min(points)} is out of range; points are 1-based", lineno)
+            if any(x >= y for x, y in zip(points, points[1:])):
+                raise malformed(f"block {points} is not strictly increasing", lineno)
+            if k is None:
+                k = len(points)
+            elif len(points) != k:
+                raise malformed(f"block size {len(points)} differs from earlier size {k}", lineno)
+            if declared is not None:
+                if points[-1] > v:
+                    raise malformed(f"point {points[-1]} exceeds declared v = {v}", lineno)
+                if k != declared[2]:
+                    raise malformed(f"declared k = {declared[2]} but blocks have size {k}", lineno)
+            blocks.append(points)
+            v = max(v, points[-1])
 
     if not blocks:
-        raise malformed("no blocks found; a design needs b >= 1", len(lines) or 1)
-
-    max_point = max(max(b) for b in blocks)
-    if declared is not None:
-        t_decl, v_decl, k_decl, lam_decl = declared
-        if max_point > v_decl:
-            bad, where = next(
-                (b, ln) for b, ln in zip(blocks, block_lines) if max(b) > v_decl
-            )
-            raise malformed(f"point {max(bad)} exceeds declared v = {v_decl}", where)
-        if k_decl != k:
-            raise malformed(f"declared k = {k_decl} but blocks have size {k}", block_lines[0])
-        return Design(v=v_decl, blocks=tuple(blocks), k=k, name=label,
-                      declared=declared)
-    return Design(v=max_point, blocks=tuple(blocks), k=k, name=label)
+        raise malformed("no blocks found; a design needs b >= 1", lineno)
+    return Design(v=v, blocks=tuple(blocks), k=k, name=label, declared=declared)
 
 
 def validated_design(D, t):

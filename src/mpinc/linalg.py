@@ -326,19 +326,17 @@ def _inverse(M):
     return adj, d
 
 
-def _full_rank_inverse(a, n, nnz_a=None):
+def _full_rank_inverse(a, n, nnz_a):
     """(rows, d) with A+ = rows / d when A (int rows a, m x n) has full row
     or full column rank, else SingularError.
 
     Square A is inverted; a wide A gives A^T (A A^T)^-1 and a tall one
-    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank. nnz_a,
-    when given, is the nonzero count of a.
+    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank. nnz_a
+    is the nonzero count of a.
     """
     m = len(a)
     if m == n:
         return _inverse(a)
-    if nnz_a is None:
-        nnz_a = _nnz(a)
     # A^T has the nonzeros of A
     at = _transpose(a, n)
     if m < n:

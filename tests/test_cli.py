@@ -454,7 +454,10 @@ def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
     (b"1 2 3\n4 5 6\xe9\n", "line 2: byte 0xe9 is not ASCII"),
     # fullwidth digits, which int() would read as points
     ("１ ２\n２ ３\n１ ３\n".encode("utf-8"), "line 1: byte 0xef is not ASCII"),
-], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits"])
+    # a form feed separates points within a line; it does not end the line
+    (b"# 2 4 2 1\n1 2\f3 4\n1 3\n1 4\n2 3\n2 4\n",
+     "line 2: declared k = 2 but blocks have size 4"),
+], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits", "form-feed"])
 def test_malformed_design_names_the_file_once(capsys, tmp_path, blocks, message):
     d = tmp_path / "designs"
     d.mkdir()

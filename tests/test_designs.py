@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpinc.combinat import all_subsets
 from mpinc.designs import (
@@ -35,10 +37,11 @@ COMPLEMENT = "samples/fano_complement/fano_complement.blk"
 
 @pytest.fixture
 def design_file(tmp_path):
-    """Writes a design text to a file under tmp_path and returns its path."""
+    """Writes a design text, or the bytes given, to a file under tmp_path and
+    returns its path."""
     def write(text, name="design.blk"):
         path = tmp_path / name
-        path.write_text(text, encoding="ascii")
+        path.write_bytes(text.encode("ascii") if isinstance(text, str) else text)
         return path
     return write
 
@@ -114,6 +117,97 @@ def test_parse_error_empty(design_file):
 def test_parse_error_nonpositive_point(design_file):
     with pytest.raises(DesignParseError):
         parse_design(design_file("0 1\n"))
+
+
+@pytest.mark.parametrize("data, message", [
+    # \f, \v and \x1c-\x1e separate points within a line; only \n, \r\n
+    # and \r end it
+    (b"# 2 4 2 1\n1 2\f3 4\n1 3\n1 4\n2 3\n2 4\n",
+     "line 2: declared k = 2 but blocks have size 4"),
+    (b"1 2 3\v4 5 6\n1 x\n", "line 2: non-integer point in block '1 x'"),
+    (b"1 2\x1c3\n1 2 3\x1d\n1 x\n", "line 3: non-integer point in block '1 x'"),
+    (b"1 2\r1 3\r2 \xe9\r", "line 3: byte 0xe9 is not ASCII"),
+    (b"1 2\r\n1 3\r\n\r\n2 \xe9\r\n", "line 4: byte 0xe9 is not ASCII"),
+    # faults on several lines: the first line in the file is named
+    (b"# 2 7 3 1\n1 2 99\n1 x 3\n", "line 2: point 99 exceeds declared v = 7"),
+    (b"# 2 7 4 1\n1 2 3\n1 2\n", "line 2: declared k = 4 but blocks have size 3"),
+    (b"1 2 3\n1 x 3\n2 3 \xe9\n", "line 2: non-integer point in block '1 x 3'"),
+    # faults on one line: the size against the first block before v, and
+    # v before the declared k
+    (b"# 2 7 2 1\n1 2\n1 2 99\n", "line 3: block size 3 differs from earlier size 2"),
+    (b"# 2 7 2 1\n1 2 99\n", "line 2: point 99 exceeds declared v = 7"),
+    # a file of no blocks names its last line
+    (b"# 2 7 3 1\n\n# a remark\r\n", "line 3: no blocks found; a design needs b >= 1"),
+    (b"", "line 1: no blocks found; a design needs b >= 1"),
+], ids=["form-feed", "vertical-tab", "separators", "cr", "crlf", "v-then-word", "k-then-size",
+        "word-then-byte", "size-before-v", "v-before-k", "comments-only", "empty"])
+def test_parse_error_names_the_first_faulty_line(design_file, data, message):
+    with pytest.raises(DesignParseError) as exc:
+        parse_design(design_file(data))
+    assert str(exc.value) == f"design.blk: {message}"
+
+
+# what may stand between points and around a block
+SEPARATORS = [" ", "  ", "\t", "\v", "\f", " \t", "\x1c", "\x1f"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def design_lines(draw):
+    """(lines, their line ends, expected parse, numbers of the block and blank
+    lines) for a random well-formed design file."""
+    v = draw(st.integers(1, 9))
+    k = draw(st.integers(1, v))
+    blocks = draw(st.lists(
+        st.lists(st.integers(1, v), min_size=k, max_size=k, unique=True).map(sorted).map(tuple),
+        min_size=1, max_size=6,
+    ))
+    declared = draw(st.none() | st.tuples(
+        st.integers(0, 3), st.integers(max(map(max, blocks)), 12), st.just(k), st.integers(0, 3)
+    ))
+    lines = [] if declared is None else ["# " + " ".join(map(str, declared))]
+    faultable = []
+    for B in blocks:
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                faultable.append(len(lines) + 1)
+                lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            else:
+                lines.append(draw(st.sampled_from(["#", "# a remark", "# t v k lambda", "#1 2 3"])))
+        # a separator before each point and one after the last
+        seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=k + 1, max_size=k + 1))
+        faultable.append(len(lines) + 1)
+        lines.append("".join(map(str.__add__, seps, map(str, B))) + seps[-1])
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from(["", *LINE_ENDS]))
+    for i in range(1, len(lines)):
+        # \r then \n is one line end, so an empty line after a \r ends in \r too
+        if ends[i - 1] == "\r" and lines[i] == "" and ends[i] == "\n":
+            ends[i] = "\r"
+    v_read = max(map(max, blocks)) if declared is None else declared[1]
+    return lines, ends, (tuple(blocks), v_read, k, declared), faultable
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_lines(), st.data())
+def test_parse_reads_each_line_rule_and_names_a_faulty_line(tmp_path_factory, case, data):
+    lines, ends, expected, faultable = case
+    path = tmp_path_factory.mktemp("design") / "random.blk"
+
+    def parse(lines):
+        path.write_bytes("".join(map(str.__add__, lines, ends)).encode("latin-1"))
+        return parse_design(path)
+
+    D = parse(lines)
+    assert (D.blocks, D.v, D.k, D.declared) == expected
+    # one bad token on a chosen block or blank line is reported at that line
+    lineno = data.draw(st.sampled_from(faultable))
+    token = data.draw(st.sampled_from(["x", "1.5", "0", "\xe9"]))
+    lines = [*lines[:lineno - 1], lines[lineno - 1] + " " + token, *lines[lineno:]]
+    with pytest.raises(DesignParseError) as exc:
+        parse(lines)
+    assert exc.value.line == lineno
+    assert str(exc.value).startswith(f"random.blk: line {lineno}: ")
 
 
 def test_validate_fano():

@@ -114,3 +114,12 @@ def test_a_leaf_command_builds_no_tree(capsys):
     finally:
         cli.build_parser.cache_clear()
         cli._leaf_parser.cache_clear()
+
+
+@pytest.mark.parametrize("command", ["build", "mpinv", "verify"])
+def test_design_options_carry_the_same_help(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    kind, code, out, _ = outcome(cli._parse_args, [command, "design", "-h"], capsys)
+    assert (kind, code) == ("exit", 0)
+    assert "design file" in out and "subset size" in out
+    assert ("design strength when the file has no header" in out) == (command != "build")
