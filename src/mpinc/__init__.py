@@ -40,7 +40,6 @@ from .errors import (
     NotReducibleError,
     ParameterError,
     ShapeError,
-    SingularError,
 )
 from .gf import (
     FieldSpec,
@@ -130,7 +129,6 @@ __all__ = [
     "ShapeError",
     "NotReducibleError",
     "InvalidFieldError",
-    "SingularError",
     "DesignParseError",
     "CharacteristicError",
 ]

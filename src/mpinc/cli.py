@@ -84,14 +84,10 @@ def _emit_matrix(M, args, row_labels=None, col_labels=None):
         chunks = formats.write_csv(M)
     elif fmt == "mtx":
         chunks = formats.write_mtx(M)
+    elif args.with_labels:
+        chunks = formats.write_json(M, _render_labels(row_labels), _render_labels(col_labels))
     else:
-        kwargs = {}
-        if args.with_labels:
-            if row_labels is not None:
-                kwargs["row_labels"] = _render_labels(row_labels)
-            if col_labels is not None:
-                kwargs["col_labels"] = _render_labels(col_labels)
-        chunks = formats.write_json(M, **kwargs)
+        chunks = formats.write_json(M)
     _emit(chunks, args.out)
 
 

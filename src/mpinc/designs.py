@@ -4,10 +4,14 @@ closed-form inverse of M_1, and the structure survey across designs.
 Design file format (bit-exact):
   - ASCII; a line ends at \n, \r\n or \r and nowhere else (universal
     newlines), and lines are numbered from 1 in that sense
-  - optional first line "# t v k lambda", four integers declared as a comment
+  - an integer is an optional - and ASCII digits, nothing more: not the
+    +1, 2_3 or 1_000 that int() also reads
+  - optional first line "# t v k lambda", four integers declared as a
+    comment; a first # line of four fields that are not all integers is a
+    plain comment
   - every other non-comment, non-blank line is one block: strictly
-    increasing 1-based point indices separated by whitespace (space, \t,
-    \v, \f or \x1c-\x1f)
+    increasing 1-based integer point indices separated by whitespace
+    (space, \t, \v, \f or \x1c-\x1f)
   - v is the maximum point index unless the header declares it
   - a malformed file is refused naming its first faulty line
 
@@ -16,6 +20,7 @@ and every result is still checked, not assumed.
 """
 
 import os
+import re
 import warnings
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -25,6 +30,9 @@ from .combinat import all_subsets, binomial
 from .errors import DesignParseError, ParameterError
 from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_oracle, scaled_ints
 from .subspaces import inclusion_support, meet_sizes
+
+# a point or header field; int() alone would also read +1 and 2_3
+_INTEGER = re.compile("-?[0-9]+").fullmatch
 
 
 class Design(namedtuple(
@@ -78,17 +86,14 @@ def parse_design(path):
             if line.startswith("#"):
                 if lineno == 1:
                     fields = line[1:].split()
-                    if len(fields) == 4:
-                        try:
-                            declared = tuple(int(x) for x in fields)
-                            v = declared[1]
-                        except ValueError:
-                            declared = None
+                    if len(fields) == 4 and all(map(_INTEGER, fields)):
+                        declared = tuple(map(int, fields))
+                        v = declared[1]
                 continue
-            try:
-                points = tuple(int(x) for x in line.split())
-            except ValueError:
+            fields = line.split()
+            if not all(map(_INTEGER, fields)):
                 raise malformed(f"non-integer point in block {line!r}", lineno)
+            points = tuple(map(int, fields))
             if min(points) < 1:
                 raise malformed(f"point {min(points)} is out of range; points are 1-based", lineno)
             if any(x >= y for x, y in zip(points, points[1:])):

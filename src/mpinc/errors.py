@@ -21,10 +21,6 @@ class InvalidFieldError(MpincError):
     """Field order is not a prime power."""
 
 
-class SingularError(MpincError):
-    """Matrix required to be invertible is singular."""
-
-
 class DesignParseError(MpincError):
     """Malformed design file; names the file and carries the offending
     1-based line number."""

@@ -24,9 +24,10 @@ where the columns of F are a basis of the column space of A and the rows
 of R a basis of its row space. F = I when A has full row rank and R = I
 when it has full column rank, so a square nonsingular A is inverted with
 no product, a wide A through the m x m Gram A A^T and a tall one through
-the n x n Gram A^T A, each cheaper than the skeleton. Below full rank it is
-the skeleton: with I the pivot rows and J the pivot columns of A,
-F = A[:, J] and R = A[I, :]. It reads only A, never a closed-form inverse.
+the n x n Gram A^T A, each cheaper than the skeleton. That one elimination
+reads the rank: below full rank the oracle is the skeleton, with I the
+pivot rows and J the pivot columns of A, F = A[:, J] and R = A[I, :]. It
+reads only A, never a closed-form inverse.
 
 The Penrose certificate forms the smaller of A X and X A first. When it
 is an identity, that one product proves A X A = A, X A X = X and its own
@@ -43,7 +44,7 @@ from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .errors import ParameterError, ShapeError, SingularError
+from .errors import ParameterError, ShapeError
 from .rationals import _check_prime, rat_mod_p
 
 
@@ -306,17 +307,17 @@ def _exchange(rows, width):
 
 
 def _inverse(M):
-    """(adj, d) with M^-1 = adj / d, for a nonsingular square int matrix M.
+    """(adj, d) with M^-1 = adj / d for a square int matrix M, or None when
+    M is singular.
 
     After _exchange has pivoted every column, row i pivoted on c reads
     scales[i] x_c = sum of row[col_of[r]] y_r. Each row is primitive, so
     d = lcm(scales) > 0 is the least common denominator of M^-1.
-    SingularError when M is singular.
     """
     k = len(M)
     rows, pivots, scales = _exchange(M, k)
     if len(pivots) < k:
-        raise SingularError("matrix is singular")
+        return None
     d = lcm(*scales)
     col_of = [c for _, c in sorted(pivots)]
     adj = [None] * k
@@ -324,26 +325,6 @@ def _inverse(M):
         row, f = rows[i], d // scales[i]
         adj[c] = [f * row[j] for j in col_of]
     return adj, d
-
-
-def _full_rank_inverse(a, n, nnz_a):
-    """(rows, d) with A+ = rows / d when A (int rows a, m x n) has full row
-    or full column rank, else SingularError.
-
-    Square A is inverted; a wide A gives A^T (A A^T)^-1 and a tall one
-    (A^T A)^-1 A^T, whose Gram is nonsingular exactly at full rank. nnz_a
-    is the nonzero count of a.
-    """
-    m = len(a)
-    if m == n:
-        return _inverse(a)
-    # A^T has the nonzeros of A
-    at = _transpose(a, n)
-    if m < n:
-        adj, d = _inverse(_matmul(a, at, m, nnz_a, nnz_a))
-        return _matmul(at, adj, m, nnz_a), d
-    adj, d = _inverse(_matmul(at, a, n, nnz_a, nnz_a))
-    return _matmul(adj, at, m, None, nnz_a), d
 
 
 def _check_pair(A, X):
@@ -417,15 +398,21 @@ def _penrose(a, x, scale, reduce=None):
 def pseudoinverse_oracle(A):
     """The Moore-Penrose inverse of the RatMatrix A, exactly.
 
-    With A = Ai / a for int rows Ai, A+ = a * Ai+. Ai+ is the full-rank
-    factorization of Ai, or its skeleton below full rank.
+    With A = Ai / a for int rows Ai, A+ = a * Ai+. A square Ai is inverted,
+    a wide one gives Ai^T (Ai Ai^T)^-1 and a tall one (Ai^T Ai)^-1 Ai^T; the
+    one matrix inverted is singular exactly below full rank, and then Ai+ is
+    the skeleton.
     """
     a, Ai = A.den, A.nums
     m, n = A.rows, A.cols
     nnz = _nnz(Ai)
-    try:
-        rows, den = _full_rank_inverse(Ai, n, nnz)
-    except SingularError:
+    if m == n:
+        full = _inverse(Ai)
+    else:
+        # A^T has the nonzeros of A
+        At = _transpose(Ai, n)
+        full = _inverse(_matmul(Ai, At, m, nnz, nnz) if m < n else _matmul(At, Ai, n, nnz, nnz))
+    if full is None:
         # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
         pivots = _exchange(Ai, n)[1]
         k = len(pivots)
@@ -436,6 +423,12 @@ def pseudoinverse_oracle(A):
         nr, nf = _nnz(Rt), _nnz(Ft)
         adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k, nnz, nr), k, nf))
         rows = _matmul(Rt, _matmul(adj, Ft, m, None, nf), m, nr)
+    else:
+        rows, den = full
+        if m < n:
+            rows = _matmul(At, rows, m, nnz)
+        elif m > n:
+            rows = _matmul(rows, At, m, None, nnz)
     if a != 1:
         rows = [[a * v for v in row] for row in rows]
     return RatMatrix(n, m, den, rows)
@@ -501,10 +494,11 @@ def first_difference(A, B):
     if A == B:
         # canonical forms: equal matrices have equal fields
         return None
+    # fields that differ differ as rationals, so the scan finds an entry
     da, db = A.den, B.den
-    for i, (arow, brow) in enumerate(zip(A.nums, B.nums)):
-        left = [v * db for v in arow]
-        right = [v * da for v in brow]
-        if left != right:
-            return i, next(j for j, (x, y) in enumerate(zip(left, right)) if x != y)
-    return None
+    return next(
+        (i, j)
+        for i, (arow, brow) in enumerate(zip(A.nums, B.nums))
+        for j, (x, y) in enumerate(zip(arow, brow))
+        if x * db != y * da
+    )

@@ -457,7 +457,10 @@ def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
     # a form feed separates points within a line; it does not end the line
     (b"# 2 4 2 1\n1 2\f3 4\n1 3\n1 4\n2 3\n2 4\n",
      "line 2: declared k = 2 but blocks have size 4"),
-], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits", "form-feed"])
+    # 2_3 and +1, which int() would read as 23 and 1
+    (b"1 2_3\n+1 0002\n", "line 1: non-integer point in block '1 2_3'"),
+], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits", "form-feed",
+        "underscore"])
 def test_malformed_design_names_the_file_once(capsys, tmp_path, blocks, message):
     d = tmp_path / "designs"
     d.mkdir()

@@ -139,8 +139,17 @@ def test_parse_error_nonpositive_point(design_file):
     # a file of no blocks names its last line
     (b"# 2 7 3 1\n\n# a remark\r\n", "line 3: no blocks found; a design needs b >= 1"),
     (b"", "line 1: no blocks found; a design needs b >= 1"),
+    # a point is an optional - and ASCII digits: not the +1, 2_3 or 1_000
+    # that int() also reads
+    (b"1 2_3\n+1 0002\n", "line 1: non-integer point in block '1 2_3'"),
+    (b"1 2\n+1 3\n", "line 2: non-integer point in block '+1 3'"),
+    (b"1 1_000\n", "line 1: non-integer point in block '1 1_000'"),
+    # a first # line of four fields is a header only when all four are
+    # integers; else it is a comment and sets neither k nor v
+    (b"# 2 4 2 +1\n1 2 3\n1 x 3\n", "line 3: non-integer point in block '1 x 3'"),
 ], ids=["form-feed", "vertical-tab", "separators", "cr", "crlf", "v-then-word", "k-then-size",
-        "word-then-byte", "size-before-v", "v-before-k", "comments-only", "empty"])
+        "word-then-byte", "size-before-v", "v-before-k", "comments-only", "empty",
+        "underscore-then-plus", "plus", "thousands", "plus-in-header"])
 def test_parse_error_names_the_first_faulty_line(design_file, data, message):
     with pytest.raises(DesignParseError) as exc:
         parse_design(design_file(data))
@@ -202,7 +211,7 @@ def test_parse_reads_each_line_rule_and_names_a_faulty_line(tmp_path_factory, ca
     assert (D.blocks, D.v, D.k, D.declared) == expected
     # one bad token on a chosen block or blank line is reported at that line
     lineno = data.draw(st.sampled_from(faultable))
-    token = data.draw(st.sampled_from(["x", "1.5", "0", "\xe9"]))
+    token = data.draw(st.sampled_from(["x", "1.5", "0", "\xe9", "+1", "2_3", "1_000"]))
     lines = [*lines[:lineno - 1], lines[lineno - 1] + " " + token, *lines[lineno:]]
     with pytest.raises(DesignParseError) as exc:
         parse(lines)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mpinc.linalg
 from mpinc.designs import Design, build_design_incidence, parse_design
-from mpinc.errors import NotReducibleError, ParameterError, ShapeError, SingularError
+from mpinc.errors import NotReducibleError, ParameterError, ShapeError
 from mpinc.formats import write_csv
 from mpinc.linalg import (
     IncidenceMatrix,
@@ -235,6 +235,31 @@ def test_first_difference():
         first_difference(A, M([[1, 2]]))
 
 
+@st.composite
+def differing_pairs(draw):
+    """(A, B) of one shape, up to 4 x 4: B keeps the entries of A up to a
+    drawn row-major position and redraws the rest, so the two often differ
+    first in a later row and have different denominators."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    a = draw(st.lists(entry, min_size=m * n, max_size=m * n))
+    keep = draw(st.integers(0, m * n))
+    b = a[:keep] + draw(st.lists(entry, min_size=m * n - keep, max_size=m * n - keep))
+    return (M([a[i * n:(i + 1) * n] for i in range(m)]),
+            M([b[i * n:(i + 1) * n] for i in range(m)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(differing_pairs())
+@example((M([[1, Fraction(1, 2)], [Fraction(1, 3), 2]]),
+          M([[1, Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 5)]])))
+def test_first_difference_is_the_first_unequal_entry(pair):
+    A, B = pair
+    expected = next(((i, j) for i in range(A.rows) for j in range(A.cols)
+                     if A.at(i, j) != B.at(i, j)), None)
+    assert first_difference(A, B) == expected
+
+
 def with_zero_row_and_column(A, rng):
     rows = A.to_rows()
     i = rng.randint(0, A.rows)
@@ -326,6 +351,35 @@ def test_oracle_equals_skeleton_reference(kind_and_matrix):
     else:
         assume(rank == min(A.rows, A.cols))
     assert pseudoinverse_oracle(A) == skeleton_pseudoinverse(A)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # full rank: one elimination, of A when square, else of its smaller Gram
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1),
+    ([[1, 1, 0], [0, 1, 1]], 1),
+    ([[1, 1], [0, 1], [1, 0]], 1),
+    # below full rank: that one (A or the Gram), then A for its pivots,
+    # then F^T A R^T
+    ([[1, 1], [1, 1]], 3),
+    ([[1, 1, 0], [2, 2, 0]], 3),
+    ([[1, 2], [2, 4], [3, 6]], 3),
+    # the zero matrix has no pivot and no F^T A R^T to invert
+    ([[0, 0, 0], [0, 0, 0]], 2),
+], ids=["square", "wide", "tall", "square-deficient", "wide-deficient", "tall-deficient",
+        "zero"])
+def test_oracle_eliminates_once_at_full_rank(monkeypatch, rows, expected):
+    A = M(rows)
+    reference = skeleton_pseudoinverse(A)
+    eliminated = []
+    exchange = mpinc.linalg._exchange
+
+    def counted(*args):
+        eliminated.append(args)
+        return exchange(*args)
+
+    monkeypatch.setattr(mpinc.linalg, "_exchange", counted)
+    assert pseudoinverse_oracle(A) == reference
+    assert len(eliminated) == expected
 
 
 @st.composite
@@ -560,8 +614,7 @@ def test_exchange_reads_as_the_exchanged_system(rows):
     if m != n:
         return
     if rank < n:
-        with pytest.raises(SingularError):
-            mpinc.linalg._inverse(rows)
+        assert mpinc.linalg._inverse(rows) is None
         return
     adj, d = mpinc.linalg._inverse(rows)
     augmented, _, _ = rref_rational(M([row + [int(i == j) for j in range(n)]
