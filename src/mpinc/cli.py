@@ -78,7 +78,7 @@ def _render_labels(labels):
     return rendered
 
 
-def _emit_matrix(M, args, row_labels=None, col_labels=None):
+def _emit_matrix(M, args, row_labels, col_labels):
     fmt = args.format
     if fmt == "csv":
         chunks = formats.write_csv(M)

@@ -7,8 +7,8 @@ Design file format (bit-exact):
   - an integer is an optional - and ASCII digits, nothing more: not the
     +1, 2_3 or 1_000 that int() also reads
   - optional first line "# t v k lambda", four integers declared as a
-    comment; a first # line of four fields that are not all integers is a
-    plain comment
+    comment, with v >= 1 and k >= 1; a first # line of four fields that are
+    not all integers is a plain comment
   - every other non-comment, non-blank line is one block: strictly
     increasing 1-based integer point indices separated by whitespace
     (space, \t, \v, \f or \x1c-\x1f)
@@ -84,11 +84,13 @@ def parse_design(path):
             if not line:
                 continue
             if line.startswith("#"):
-                if lineno == 1:
-                    fields = line[1:].split()
-                    if len(fields) == 4 and all(map(_INTEGER, fields)):
-                        declared = tuple(map(int, fields))
-                        v = declared[1]
+                fields = line[1:].split()
+                if lineno == 1 and len(fields) == 4 and all(map(_INTEGER, fields)):
+                    declared = tuple(map(int, fields))
+                    v = declared[1]
+                    for name, x in zip("vk", declared[1:3]):
+                        if x < 1:
+                            raise malformed(f"declared {name} = {x} must be at least 1", lineno)
                 continue
             fields = line.split()
             if not all(map(_INTEGER, fields)):

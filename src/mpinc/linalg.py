@@ -219,26 +219,21 @@ def _row_sparse_matmul(a, b, ncols):
     return out
 
 
-def _matmul(a, b, ncols, nnz_a=None, nnz_b=None):
+def _matmul(a, b, ncols):
     """a @ b for int rows; b has ncols columns.
 
     The product scans the nonzeros of one factor and adds whole rows of the
     other, so its cost is the scanned factor's nnz times the other's width.
-    It scans a, or b through (b^T a^T)^T, whichever costs less; the
-    transposed route also counts the entries its three transposes touch,
-    len(a) inner + inner ncols + len(a) ncols. So with a 0/1 incidence
-    matrix on either side the dense factor is never scanned, and a factor
-    as sparse as the identity is scanned where it stands. nnz_a and nnz_b,
-    when given, are the nonzero counts of a and b, passed by callers that
-    multiply by one factor more than once.
+    It counts the nonzeros of both factors and scans a, or b through (b^T
+    a^T)^T, whichever costs less; the transposed route also counts the
+    entries its three transposes touch, len(a) inner + inner ncols + len(a)
+    ncols. So with a 0/1 incidence matrix on either side the dense factor is
+    never scanned, and a factor as sparse as the identity is scanned where
+    it stands.
     """
     inner = len(b)
-    if nnz_a is None:
-        nnz_a = _nnz(a)
-    if nnz_b is None:
-        nnz_b = _nnz(b)
     rows = len(a)
-    if nnz_b * rows + rows * inner + inner * ncols + rows * ncols < nnz_a * ncols:
+    if _nnz(b) * rows + rows * inner + inner * ncols + rows * ncols < _nnz(a) * ncols:
         bt_at = _row_sparse_matmul(_transpose(b, ncols), _transpose(a, inner), rows)
         return _transpose(bt_at, rows)
     return _row_sparse_matmul(a, b, ncols)
@@ -307,15 +302,18 @@ def _exchange(rows, width):
 
 
 def _inverse(M):
-    """(adj, d) with M^-1 = adj / d for a square int matrix M, or None when
-    M is singular.
+    """(adj, d) with M^-1 = adj / d for a square int M, or None if M is singular."""
+    return _exchanged_inverse(*_exchange(M, len(M)))
+
+
+def _exchanged_inverse(rows, pivots, scales):
+    """_inverse(M) read from (rows, pivots, scales) = _exchange(M, len(M)).
 
     After _exchange has pivoted every column, row i pivoted on c reads
     scales[i] x_c = sum of row[col_of[r]] y_r. Each row is primitive, so
     d = lcm(scales) > 0 is the least common denominator of M^-1.
     """
-    k = len(M)
-    rows, pivots, scales = _exchange(M, k)
+    k = len(rows)
     if len(pivots) < k:
         return None
     d = lcm(*scales)
@@ -360,36 +358,35 @@ def _penrose(a, x, scale, reduce=None):
         c2, c1, c4, c3 = report
         return PenroseReport(c1, c2, c3, c4), ax_is_identity, xa_is_identity
 
-    def product(left, right, ncols, nnz_left, nnz_right):
-        rows = _matmul(left, right, ncols, nnz_left, nnz_right)
+    def product(left, right, ncols):
+        rows = _matmul(left, right, ncols)
         return rows if reduce is None else reduce(rows)
 
     m, n = len(a), len(x)
-    # each factor's nonzeros are counted once, for all the products it is in
-    na, nx = _nnz(a), _nnz(x)
-    ax = product(a, x, m, na, nx)
+    ax = product(a, x, m)
     if _is_scaled_identity(ax, scale):
         if m == n:
             return PenroseReport(True, True, True, True), True, True
+        na, nx = _nnz(a), _nnz(x)
         # a scanned nonzero costs about 60 entries of a row sum
         if (nx + na) * (60 + m) + 2 * m * n < min(nx, na) * (60 + n) + 2 * n * n:
-            gram = product(_transpose(x, m), x, m, nx, nx)
-            cond4 = product(_transpose(a, n), gram, m, na, None) == [
+            gram = product(_transpose(x, m), x, m)
+            cond4 = product(_transpose(a, n), gram, m) == [
                 [scale * v for v in row] for row in x
             ]
         else:
-            cond4 = _is_symmetric(product(x, a, n, nx, na))
+            cond4 = _is_symmetric(product(x, a, n))
         return PenroseReport(True, True, True, cond4), True, False
-    xa = product(x, a, n, nx, na)
-    nax = _nnz(ax)
-    axa, xax = product(ax, a, n, nax, na), product(x, ax, m, nx, nax)
+    xa = product(x, a, n)
+    axa, xax = product(ax, a, n), product(x, ax, m)
     report = PenroseReport(
         cond1=axa == [[scale * v for v in row] for row in a],
         cond2=xax == [[scale * v for v in row] for row in x],
         cond3=_is_symmetric(ax),
         cond4=_is_symmetric(xa),
     )
-    return report, False, _is_scaled_identity(xa, scale)
+    # x a != scale I: its rank is at most m < n, or m = n and a x would be scale I too
+    return report, False, False
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +402,29 @@ def pseudoinverse_oracle(A):
     """
     a, Ai = A.den, A.nums
     m, n = A.rows, A.cols
-    nnz = _nnz(Ai)
     if m == n:
-        full = _inverse(Ai)
+        eliminated = _exchange(Ai, n)
+        full = _exchanged_inverse(*eliminated)
     else:
-        # A^T has the nonzeros of A
         At = _transpose(Ai, n)
-        full = _inverse(_matmul(Ai, At, m, nnz, nnz) if m < n else _matmul(At, Ai, n, nnz, nnz))
+        full = _inverse(_matmul(Ai, At, m) if m < n else _matmul(At, Ai, n))
     if full is None:
-        # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :]
-        pivots = _exchange(Ai, n)[1]
+        # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :], a square A's
+        # pivots read from its one elimination (a Gram's give I or J, not both)
+        pivots = (eliminated if m == n else _exchange(Ai, n))[1]
         k = len(pivots)
         if k == 0:
             return RatMatrix.zeros(n, m)
         Rt = _transpose([Ai[i] for i, _ in pivots], n)
         Ft = [[row[j] for row in Ai] for _, j in pivots]
-        nr, nf = _nnz(Rt), _nnz(Ft)
-        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k, nnz, nr), k, nf))
-        rows = _matmul(Rt, _matmul(adj, Ft, m, None, nf), m, nr)
+        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
+        rows = _matmul(Rt, _matmul(adj, Ft, m), m)
     else:
         rows, den = full
         if m < n:
-            rows = _matmul(At, rows, m, nnz)
+            rows = _matmul(At, rows, m)
         elif m > n:
-            rows = _matmul(rows, At, m, None, nnz)
+            rows = _matmul(rows, At, m)
     if a != 1:
         rows = [[a * v for v in row] for row in rows]
     return RatMatrix(n, m, den, rows)

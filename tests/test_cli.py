@@ -459,8 +459,10 @@ def test_each_incidence_matrix_is_densified_once(capsys, monkeypatch, argv):
      "line 2: declared k = 2 but blocks have size 4"),
     # 2_3 and +1, which int() would read as 23 and 1
     (b"1 2_3\n+1 0002\n", "line 1: non-integer point in block '1 2_3'"),
+    # a header's v is refused at the header, not at the first block
+    (b"# 2 -7 3 1\n1 2 3\n", "line 1: declared v = -7 must be at least 1"),
 ], ids=["not-increasing", "zero", "negative", "not-ascii", "fullwidth-digits", "form-feed",
-        "underscore"])
+        "underscore", "header-v"])
 def test_malformed_design_names_the_file_once(capsys, tmp_path, blocks, message):
     d = tmp_path / "designs"
     d.mkdir()

@@ -147,9 +147,15 @@ def test_parse_error_nonpositive_point(design_file):
     # a first # line of four fields is a header only when all four are
     # integers; else it is a comment and sets neither k nor v
     (b"# 2 4 2 +1\n1 2 3\n1 x 3\n", "line 3: non-integer point in block '1 x 3'"),
+    # a header declares v >= 1 and k >= 1, and is refused at its own line,
+    # naming v before k
+    (b"# 2 -7 3 1\n1 2 3\n", "line 1: declared v = -7 must be at least 1"),
+    (b"# 2 7 0 1\n1 2 3\n", "line 1: declared k = 0 must be at least 1"),
+    (b"# 2 0 -1 1\n1 2 3\n", "line 1: declared v = 0 must be at least 1"),
 ], ids=["form-feed", "vertical-tab", "separators", "cr", "crlf", "v-then-word", "k-then-size",
         "word-then-byte", "size-before-v", "v-before-k", "comments-only", "empty",
-        "underscore-then-plus", "plus", "thousands", "plus-in-header"])
+        "underscore-then-plus", "plus", "thousands", "plus-in-header", "header-v", "header-k",
+        "header-v-before-k"])
 def test_parse_error_names_the_first_faulty_line(design_file, data, message):
     with pytest.raises(DesignParseError) as exc:
         parse_design(design_file(data))

@@ -358,9 +358,10 @@ def test_oracle_equals_skeleton_reference(kind_and_matrix):
     ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1),
     ([[1, 1, 0], [0, 1, 1]], 1),
     ([[1, 1], [0, 1], [1, 0]], 1),
-    # below full rank: that one (A or the Gram), then A for its pivots,
-    # then F^T A R^T
-    ([[1, 1], [1, 1]], 3),
+    # below full rank: that one, then F^T A R^T; a square A's pivots come
+    # from its one elimination, while a Gram's index only its rows, so a
+    # non-square A is eliminated for its own in between
+    ([[1, 1], [1, 1]], 2),
     ([[1, 1, 0], [2, 2, 0]], 3),
     ([[1, 2], [2, 4], [3, 6]], 3),
     # the zero matrix has no pivot and no F^T A R^T to invert
