@@ -35,8 +35,9 @@ def all_subsets(n, r):
     """
     if not (0 <= r <= n):
         raise ParameterError(f"need 0 <= r <= n, got r={r}, n={n}")
-    subsets = sorted(combinations(range(1, n + 1), r), key=lambda s: s[::-1])
-    return tuple(subsets)
+    # the lex order of the r-subsets of n, ..., 1, each read backwards, is
+    # colex reversed
+    return tuple(reversed([s[::-1] for s in combinations(range(n, 0, -1), r)]))
 
 
 def _check_q(q):

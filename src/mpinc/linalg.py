@@ -265,6 +265,7 @@ def _exchange(rows, width):
     scale a. A row that is zero in the pivot column is left alone. Each row
     is a nonzero multiple of its Bareiss (1968) row, so the pivots are the
     same, but it is the least int form of its rational row, not a minor.
+    A full-rank square M takes its last pivot in its last column.
     """
     rows = list(rows)
     m = len(rows)
@@ -296,33 +297,29 @@ def _exchange(rows, width):
         scales[sel] = a
         unused[sel] = False
         pivots.append((sel, col))
-        if len(pivots) == m:
-            break
     return rows, pivots, scales
 
 
 def _inverse(M):
-    """(adj, d) with M^-1 = adj / d for a square int M, or None if M is singular."""
-    return _exchanged_inverse(*_exchange(M, len(M)))
-
-
-def _exchanged_inverse(rows, pivots, scales):
-    """_inverse(M) read from (rows, pivots, scales) = _exchange(M, len(M)).
+    """(pivots, inverse) for a square int M from its one elimination:
+    pivots are those of _exchange(M, len(M)), and inverse is (adj, d) with
+    M^-1 = adj / d, or None when M is singular.
 
     After _exchange has pivoted every column, row i pivoted on c reads
     scales[i] x_c = sum of row[col_of[r]] y_r. Each row is primitive, so
     d = lcm(scales) > 0 is the least common denominator of M^-1.
     """
-    k = len(rows)
+    k = len(M)
+    rows, pivots, scales = _exchange(M, k)
     if len(pivots) < k:
-        return None
+        return pivots, None
     d = lcm(*scales)
     col_of = [c for _, c in sorted(pivots)]
     adj = [None] * k
     for i, c in pivots:
         row, f = rows[i], d // scales[i]
         adj[c] = [f * row[j] for j in col_of]
-    return adj, d
+    return pivots, (adj, d)
 
 
 def _check_pair(A, X):
@@ -403,21 +400,21 @@ def pseudoinverse_oracle(A):
     a, Ai = A.den, A.nums
     m, n = A.rows, A.cols
     if m == n:
-        eliminated = _exchange(Ai, n)
-        full = _exchanged_inverse(*eliminated)
+        pivots, full = _inverse(Ai)
     else:
         At = _transpose(Ai, n)
-        full = _inverse(_matmul(Ai, At, m) if m < n else _matmul(At, Ai, n))
+        full = _inverse(_matmul(Ai, At, m) if m < n else _matmul(At, Ai, n))[1]
     if full is None:
         # rank < min(m, n): the skeleton F = A[:, J], R = A[I, :], a square A's
         # pivots read from its one elimination (a Gram's give I or J, not both)
-        pivots = (eliminated if m == n else _exchange(Ai, n))[1]
+        if m != n:
+            pivots = _exchange(Ai, n)[1]
         k = len(pivots)
         if k == 0:
             return RatMatrix.zeros(n, m)
         Rt = _transpose([Ai[i] for i, _ in pivots], n)
         Ft = [[row[j] for row in Ai] for _, j in pivots]
-        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))
+        adj, den = _inverse(_matmul(Ft, _matmul(Ai, Rt, k), k))[1]
         rows = _matmul(Rt, _matmul(adj, Ft, m), m)
     else:
         rows, den = full

@@ -21,9 +21,9 @@ colexicographic order, then free entries in row-major lexicographic order
 over the field elements, which are the ints 0 to q - 1 (see mpinc.gf).
 """
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product, repeat
 from struct import Struct
 
@@ -139,19 +139,27 @@ def _point_sets(q, members):
     return members if q == 1 else tuple(S.points for S in members)
 
 
+def _packed(col_sets, bits):
+    """Each point of the column sets as one int with a bits-wide field per
+    column, low field first: field j is 1 where column j holds the point,
+    else 0. Repeated columns are kept apart."""
+    packed, one = {}, 1
+    for C in col_sets:
+        for x in C:
+            packed[x] = packed.get(x, 0) | one
+        one <<= bits
+    return packed
+
+
 def inclusion_support(row_sets, col_sets):
     """Row supports of the 0/1 matrix with (R, C) entry 1 iff the point set
     C holds every point of R: the column indices of each row, increasing.
 
-    Each point is the int mask of the columns holding it, and a row's
-    support is the set bits of the AND of its points' masks, low bit first
-    (every column for the empty set). Repeated columns are kept apart.
+    Each point is packed in 1-bit fields, the int mask of the columns
+    holding it, and a row's support is the set bits of the AND of its
+    points' masks, low bit first (every column for the empty set).
     """
-    masks = {}
-    for j, C in enumerate(col_sets):
-        bit = 1 << j
-        for x in C:
-            masks[x] = masks.get(x, 0) | bit
+    masks = _packed(col_sets, 1)
     every = tuple(range(len(col_sets)))
     support = []
     for R in row_sets:
@@ -177,24 +185,16 @@ _FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 def meet_sizes(row_sets, col_sets):
     """Yield, for each row point set R, the list of |R intersect C| over col_sets.
 
-    Packed counters: each point is one int with a fixed-width counter field
-    per column, holding 1 where that column holds the point. A row's sizes
-    are the sum of its points' ints, read back field by field, so a row
-    costs |R| big-int additions. The field width is the fewest of 1, 2, 4
-    or 8 bytes that holds the size of the largest column set, which bounds
-    every |R intersect C|, so no field carries into the next. A point set
-    holds each point once.
+    Each point is packed in counter fields of the fewest of 1, 2, 4 or 8
+    bytes that hold the size of the largest column set. A row's sizes are
+    the sum of its points' ints, read back field by field, so a row costs
+    |R| big-int additions. That size bounds every |R intersect C|, so no
+    field carries into the next. A point set holds each point once.
     """
     most = max(map(len, col_sets), default=0)
     width, code = next((w, f) for w, f in _FIELDS if most < 256**w)
     size = len(col_sets) * width
-    buffers = defaultdict(partial(bytearray, size))
-    for j, C in enumerate(col_sets):
-        # the low byte of field j, little-endian
-        at = j * width
-        for x in C:
-            buffers[x][at] = 1
-    counters = {x: int.from_bytes(buf, "little") for x, buf in buffers.items()}
+    counters = _packed(col_sets, 8 * width)
     fields = Struct(f"<{len(col_sets)}{code}").unpack
     for R in row_sets:
         # a point no column holds adds 0

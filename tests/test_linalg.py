@@ -615,9 +615,9 @@ def test_exchange_reads_as_the_exchanged_system(rows):
     if m != n:
         return
     if rank < n:
-        assert mpinc.linalg._inverse(rows) is None
+        assert mpinc.linalg._inverse(rows)[1] is None
         return
-    adj, d = mpinc.linalg._inverse(rows)
+    adj, d = mpinc.linalg._inverse(rows)[1]
     augmented, _, _ = rref_rational(M([row + [int(i == j) for j in range(n)]
                                        for i, row in enumerate(rows)]))
     inverse = M([list(augmented.row(i))[n:] for i in range(n)])
@@ -627,12 +627,28 @@ def test_exchange_reads_as_the_exchanged_system(rows):
     assert leibniz_determinant(rows) % d == 0
 
 
+@pytest.mark.parametrize("rows, singular", [
+    ([[1, 2, 3], [0, 0, 0], [4, 5, 6]], True),
+    ([[1, 2, 0], [3, 1, 1], [1, 2, 0]], True),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], False),
+    # drawn at random; its determinant is -5796
+    ([[8, -7, 2, 0, -7], [7, 2, 3, 4, -9], [-8, -6, 5, -2, 2], [-7, 6, 1, 8, 4],
+      [-3, 5, -4, -2, 4]], False),
+], ids=["zero-row", "repeated-row", "identity", "random"])
+def test_inverse_hands_back_the_pivots_of_its_one_elimination(rows, singular):
+    pivots, inverse = mpinc.linalg._inverse(rows)
+    assert pivots == mpinc.linalg._exchange(rows, len(rows))[1]
+    assert (leibniz_determinant(rows) == 0) is singular
+    assert (len(pivots) < len(rows)) is singular
+    assert (inverse is None) is singular
+
+
 def test_inverse_of_a_gram_has_the_least_denominator():
     # the Gram A A^T of set (8; 2, 4) is 28 x 28 and its determinant has
     # 93 bits, but its inverse needs only the denominator 180
     A = build_incidence(8, 1, 2, 4).to_rat_matrix().nums
     gram = mpinc.linalg._matmul(A, mpinc.linalg._transpose(A, 70), 28)
-    adj, d = mpinc.linalg._inverse(gram)
+    adj, d = mpinc.linalg._inverse(gram)[1]
     assert (len(adj), d) == (28, 180)
     assert RatMatrix(28, 28, d, adj) @ RatMatrix(28, 28, 1, gram) == RatMatrix.identity(28)
 
