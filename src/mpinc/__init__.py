@@ -33,7 +33,6 @@ from .formats import (
     write_mtx,
 )
 from .errors import (
-    CharacteristicError,
     DesignParseError,
     InvalidFieldError,
     MpincError,
@@ -130,5 +129,4 @@ __all__ = [
     "NotReducibleError",
     "InvalidFieldError",
     "DesignParseError",
-    "CharacteristicError",
 ]

@@ -25,7 +25,7 @@ from .designs import (
     survey_designs,
     validated_design,
 )
-from .errors import CharacteristicError, MpincError, NotReducibleError
+from .errors import MpincError, NotReducibleError
 from .gf import factor_prime_power, render_element
 from .linalg import (
     first_difference,
@@ -154,7 +154,7 @@ def _cmd_mpinv(args):
         if mod is not None:
             obstruction = char_p_obstruction(n, q, r, c, mod)
             if obstruction is not None:
-                raise CharacteristicError(
+                raise NotReducibleError(
                     f"closed form not admissible: p divides {obstruction}"
                 )
             # reduce the r + 1 class values once; expand then reads residues
@@ -401,7 +401,7 @@ def main(argv=None):
     try:
         args = _parse_args(argv)
         return args.run(args)
-    except (CharacteristicError, NotReducibleError) as exc:
+    except NotReducibleError as exc:
         print(f"mpinc: {exc}", file=sys.stderr)
         return EXIT_CHARACTERISTIC
     except (MpincError, OSError) as exc:

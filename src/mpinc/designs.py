@@ -67,7 +67,7 @@ def parse_design(path):
     label = os.path.basename(path)
 
     def malformed(message, lineno):
-        return DesignParseError(message, line=lineno, source=label)
+        return DesignParseError(message, lineno, label)
 
     declared = None
     blocks = []

@@ -14,7 +14,8 @@ class ShapeError(MpincError):
 
 
 class NotReducibleError(MpincError):
-    """Rational cannot be reduced mod p because p divides the denominator."""
+    """Cannot reduce mod p: p divides a rational's denominator, or a closed
+    form is not admissible in characteristic p."""
 
 
 class InvalidFieldError(MpincError):
@@ -25,14 +26,6 @@ class DesignParseError(MpincError):
     """Malformed design file; names the file and carries the offending
     1-based line number."""
 
-    def __init__(self, message, line=None, source=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if source is not None:
-            message = f"{source}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line, source):
+        super().__init__(f"{source}: line {line}: {message}")
         self.line = line
-
-
-class CharacteristicError(MpincError):
-    """Closed form is not admissible in the requested characteristic."""

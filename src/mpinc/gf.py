@@ -30,12 +30,18 @@ def _integer_root(q, e):
 
 
 def factor_prime_power(q):
-    """(p, e) with q = p^e; InvalidFieldError when q is not a prime power."""
+    """(p, e) with q = p^e; InvalidFieldError when q is not a prime power.
+
+    Only q's largest exact root p is tested for primality: a prime power
+    has its prime as that root. e = 1 always gives one, q itself.
+    """
     if q >= 2:
         for e in range(q.bit_length(), 0, -1):
             p = _integer_root(q, e)
-            if p**e == q and is_prime(p):
-                return p, e
+            if p**e == q:
+                break
+        if is_prime(p):
+            return p, e
     raise InvalidFieldError(f"{q} is not a prime power")
 
 

@@ -20,17 +20,19 @@ PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n):
     """Deterministic Miller-Rabin, run once per number.
 
-    Exact for n < PRIMALITY_BOUND; at or above it, ParameterError names n.
+    Exact for n < PRIMALITY_BOUND, and at any size for n with a factor
+    among the bases; any other n at or above the bound raises
+    ParameterError naming n.
     """
-    if n >= PRIMALITY_BOUND:
-        raise ParameterError(
-            f"{n} is too large to test for primality (the exact test needs n < {PRIMALITY_BOUND})"
-        )
     if n < 2:
         return False
     for b in _BASES:
         if n % b == 0:
             return n == b
+    if n >= PRIMALITY_BOUND:
+        raise ParameterError(
+            f"{n} is too large to test for primality (the exact test needs n < {PRIMALITY_BOUND})"
+        )
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for b in _BASES:

@@ -347,17 +347,6 @@ def count_contained_with_intersection(n, q, c, k, r, i):
     )
 
 
-def _admissibility_factors(n, q, r, c):
-    N = max(n, r + c)
-    name = "binomial({},{})" if q == 1 else f"gaussian_binomial({{}},{{}};q={q})"
-    factors = [(name.format(N - r, c - r), _gbinom(N - r, c - r, q))]
-    factors.extend(
-        (name.format(N - c, i), _gbinom(N - c, i, q)) for i in range(r + 1)
-    )
-    factors.append(("q", q))
-    return factors
-
-
 def char_p_obstruction(n, q, r, c, p):
     """Name and value of the first closed-form factor divisible by p, or None
     when the closed form reduces to a valid inverse over GF(p).
@@ -367,7 +356,10 @@ def char_p_obstruction(n, q, r, c, p):
     dividing q.
     """
     _check_params(n, q, r, c)
-    for name, value in _admissibility_factors(n, q, r, c):
+    N = max(n, r + c)
+    name = "binomial({},{})" if q == 1 else f"gaussian_binomial({{}},{{}};q={q})"
+    for top, bottom in ((N - r, c - r), *((N - c, i) for i in range(r + 1))):
+        value = _gbinom(top, bottom, q)
         if value % p == 0:
-            return f"{name} = {value}"
-    return None
+            return f"{name.format(top, bottom)} = {value}"
+    return f"q = {q}" if q % p == 0 else None

@@ -69,17 +69,22 @@ def test_mpinv_subspace_mod_q_inadmissible(capsys):
     assert "q = 2" in err
 
 
-@pytest.mark.parametrize("mod", ["", "--mod 7", "--mod 2"])
-def test_mpinv_subspace_refuses_non_prime_power_q(capsys, mod):
+# 2021 = 43 * 47; the q = 6 cases are named by their mod alone
+@pytest.mark.parametrize("mod, q", [
+    pytest.param(mod, q, id=mod if q == 6 else f"{mod}-{q}")
+    for q in (6, 10**30, 2021**8)
+    for mod in ("", "--mod 7", "--mod 2")
+])
+def test_mpinv_subspace_refuses_non_prime_power_q(capsys, mod, q):
     code, out, err = run(
-        capsys, ["mpinv", "subspace", "--n", "3", "--q", "6", "--r", "1", "--c", "2", *mod.split()]
+        capsys, ["mpinv", "subspace", "--n", "3", "--q", str(q), "--r", "1", "--c", "2", *mod.split()]
     )
     assert code == 2
     assert out == ""
-    assert "6 is not a prime power" in err
+    assert f"{q} is not a prime power" in err
 
 
-@pytest.mark.parametrize("mod", ["0", "-3", "1", "4"])
+@pytest.mark.parametrize("mod", ["0", "-3", "1", "4", "1000000000000000000000000000000"])
 def test_mpinv_refuses_non_prime_modulus(capsys, mod):
     for kind in (["set"], ["subspace", "--q", "2"]):
         code, out, err = run(

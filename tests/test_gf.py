@@ -61,8 +61,11 @@ def test_factor_prime_power_large():
     assert factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
     assert factor_prime_power(3**40) == (3, 40)
     assert factor_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
-    with pytest.raises(InvalidFieldError, match="is not a prime power"):
-        factor_prime_power((10**9 + 7) * (10**9 + 9))
+    assert factor_prime_power(1000003**5) == (1000003, 5)
+    # the largest exact root decides: 2021 = 43 * 47, 10, and an even q
+    for q in ((10**9 + 7) * (10**9 + 9), 2021**8, 10**30, 2 * 3**100):
+        with pytest.raises(InvalidFieldError, match="is not a prime power"):
+            factor_prime_power(q)
     for q in (-4, 0, 1):
         with pytest.raises(InvalidFieldError):
             factor_prime_power(q)

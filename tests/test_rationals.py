@@ -39,6 +39,9 @@ def test_is_prime_matches_a_sieve_below_200000():
     (2**61 - 1, True),
     (10**16 + 61, True),
     (-7, False),
+    # past the bound, a factor among the bases still decides
+    (10**30, False),
+    (2 * 3**100, False),
 ])
 def test_is_prime_large(n, prime):
     assert is_prime(n) is prime

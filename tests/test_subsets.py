@@ -5,7 +5,7 @@ import pytest
 from mpinc.errors import ParameterError
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc import subsets
-from mpinc.combinat import all_subsets, binomial
+from mpinc.combinat import all_subsets, binomial, gaussian_binomial
 from mpinc.subspaces import (
     build_incidence,
     char_p_obstruction,
@@ -174,15 +174,22 @@ def test_char_p_obstruction_names_a_factor():
 
 
 def test_char_p_matches_direct_divisibility():
-    for n in range(0, 7):
-        for c in range(0, n + 1):
-            for r in range(0, c + 1):
-                N = max(n, r + c)
-                for p in (2, 3, 5, 7, 11, 13):
-                    facs = [binomial(N - r, c - r)]
-                    facs += [binomial(N - c, r - i) for i in range(r + 1)]
-                    want = all(f % p != 0 for f in facs)
-                    assert (char_p_obstruction(n, 1, r, c, p) is None) == want
+    # the first of [N-r, c-r]_q, [N-c, 0]_q, ..., [N-c, r]_q and q that p
+    # divides, named as the CLI reports it
+    for q in (1, 2, 3, 4):
+        for n in range(0, 7):
+            for c in range(0, n + 1):
+                for r in range(0, c + 1):
+                    N = max(n, r + c)
+                    pairs = [(N - r, c - r)] + [(N - c, i) for i in range(r + 1)]
+                    facs = [
+                        (f"binomial({a},{b})", binomial(a, b)) if q == 1
+                        else (f"gaussian_binomial({a},{b};q={q})", gaussian_binomial(a, b, q))
+                        for a, b in pairs
+                    ] + [("q", q)]
+                    for p in (2, 3, 5, 7, 11, 13):
+                        want = next((f"{name} = {f}" for name, f in facs if f % p == 0), None)
+                        assert char_p_obstruction(n, q, r, c, p) == want
 
 
 def test_replay_aliases_are_the_q1_family():
