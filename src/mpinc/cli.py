@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -158,7 +157,7 @@ def _cmd_mpinv(args):
                     f"closed form not admissible: p divides {obstruction}"
                 )
             # reduce the r + 1 class values once; expand then reads residues
-            cm = cm._replace(values=tuple(Fraction(rat_mod_p(x, mod)) for x in cm.values))
+            cm = cm._replace(values=tuple(rat_mod_p(x, mod) for x in cm.values))
         if class_values:
             _emit([_class_values_json(cm.values)], args.out)
             return EXIT_OK

@@ -109,8 +109,7 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols den nums")):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        nums = list(zip(*self.nums)) if self.rows else [()] * self.cols
-        return RatMatrix(self.cols, self.rows, self.den, nums)
+        return RatMatrix(self.cols, self.rows, self.den, _transpose(self.nums, self.cols))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -181,8 +180,6 @@ def scaled_ints(values):
     """(d, ints): ints is the list d*values, with d > 0 the lcm of the
     denominators of the rationals in values."""
     d = lcm(*{x.denominator for x in values})
-    if d == 1:
-        return d, [x.numerator for x in values]
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 

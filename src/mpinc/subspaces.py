@@ -31,6 +31,7 @@ from .combinat import all_subsets, binomial, gaussian_binomial
 from .errors import ParameterError, ShapeError
 from .gf import build_field, factor_prime_power
 from .linalg import IncidenceMatrix, RatMatrix, scaled_ints
+from .rationals import _check_prime
 
 
 def _check_params(n, q, r, c):
@@ -157,16 +158,14 @@ def inclusion_support(row_sets, col_sets):
 
     Each point is packed in 1-bit fields, the int mask of the columns
     holding it, and a row's support is the set bits of the AND of its
-    points' masks, low bit first (every column for the empty set).
+    points' masks, low bit first. The AND starts from the all-columns mask,
+    which is the empty set's support.
     """
     masks = _packed(col_sets, 1)
-    every = tuple(range(len(col_sets)))
+    every = (1 << len(col_sets)) - 1
     support = []
     for R in row_sets:
-        if not R:
-            support.append(every)
-            continue
-        held = -1
+        held = every
         for x in R:
             held &= masks.get(x, 0)
         cols = []
@@ -353,9 +352,10 @@ def char_p_obstruction(n, q, r, c, p):
 
     The factors are [N-r, c-r]_q, [N-c, 0]_q, ..., [N-c, r]_q and q (which
     is 1 for sets). Sufficient for None: p > max(n-r, c) with p not
-    dividing q.
+    dividing q. p must be prime, else ParameterError, as in rat_mod_p.
     """
     _check_params(n, q, r, c)
+    _check_prime(p)
     N = max(n, r + c)
     name = "binomial({},{})" if q == 1 else f"gaussian_binomial({{}},{{}};q={q})"
     for top, bottom in ((N - r, c - r), *((N - c, i) for i in range(r + 1))):

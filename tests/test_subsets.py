@@ -171,6 +171,10 @@ def test_char_p_obstruction_names_a_factor():
     msg = char_p_obstruction(4, 1, 1, 2, 3)
     assert msg == "binomial(3,1) = 3"
     assert char_p_obstruction(4, 1, 1, 2, 5) is None
+    # a p that is not prime names no field, so there is no verdict to give
+    for p in (0, 1, -3, 4):
+        with pytest.raises(ParameterError, match="is not prime"):
+            char_p_obstruction(4, 1, 1, 2, p)
 
 
 def test_char_p_matches_direct_divisibility():
