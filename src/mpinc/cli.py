@@ -410,7 +410,3 @@ def main(argv=None):
         # too large for this machine is an input error, not a failed check
         print("mpinc: out of memory", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from numbers import Rational
 
 from .errors import ParameterError
 
@@ -71,8 +72,13 @@ def gaussian_binomial(n, m, q):
 
 
 def int_polynomial(coeffs):
-    """Canonical coefficient tuple: trailing zeros stripped, () is the zero polynomial."""
-    coeffs = tuple(int(c) for c in coeffs)
+    """Canonical coefficient tuple: trailing zeros stripped, () is the zero
+    polynomial; ParameterError names a coefficient that is not an integer."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if not isinstance(c, Rational) or c.denominator != 1:
+            raise ParameterError(f"polynomial coefficient {c!r} is not an integer")
+    coeffs = tuple(map(int, coeffs))
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs

@@ -28,8 +28,8 @@ from itertools import combinations
 
 from .combinat import all_subsets, binomial
 from .errors import DesignParseError, ParameterError
-from .linalg import IncidenceMatrix, RatMatrix, penrose_check, pseudoinverse_oracle, scaled_ints
-from .subspaces import inclusion_support, meet_sizes
+from .linalg import RatMatrix, penrose_check, pseudoinverse_oracle, scaled_ints
+from .subspaces import incidence, inclusion_support, meet_sizes
 
 # a point or header field; int() alone would also read +1 and 2_3
 _INTEGER = re.compile("-?[0-9]+").fullmatch
@@ -150,13 +150,16 @@ def validated_design(D, t):
 
 def lambda_s(t, v, k, lam, s):
     """lambda_s = lam * C(v-s, t-s) / C(k-s, t-s): every t-(v,k,lam) design is
-    an s-(v,k,lambda_s) design for 0 <= s <= t.
+    an s-(v,k,lambda_s) design for 0 <= s <= t. ParameterError unless
+    0 <= s <= t <= k <= v, as in every design.
 
     Non-integral output is a parameter inconsistency and raises a warning,
     but the exact rational is still returned.
     """
     if not (0 <= s <= t):
         raise ParameterError(f"need 0 <= s <= t, got s={s}, t={t}")
+    if not (t <= k <= v):
+        raise ParameterError(f"need t <= k <= v, got t={t}, k={k}, v={v}")
     value = Fraction(lam * binomial(v - s, t - s), binomial(k - s, t - s))
     if value.denominator != 1:
         warnings.warn(
@@ -175,14 +178,7 @@ def build_design_incidence(D, s):
     """
     if not (0 <= s <= D.k):
         raise ParameterError(f"need 0 <= s <= k = {D.k}, got s={s}")
-    rows = all_subsets(D.v, s)
-    return IncidenceMatrix(
-        rows=len(rows),
-        cols=D.b,
-        row_support=inclusion_support(rows, D.blocks),
-        row_labels=rows,
-        col_labels=D.blocks,
-    )
+    return incidence(1, all_subsets(D.v, s), D.blocks)
 
 
 def has_closed_form(D, s):

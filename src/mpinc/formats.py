@@ -32,16 +32,9 @@ def _text_rows(M):
     if isinstance(M, ClassMatrix):
         return class_rows(M, tuple(map(str, M.values)))
     if isinstance(M, IncidenceMatrix):
-        return (_indicator(support, M.cols) for support in M.row_support)
+        return M.indicator_rows("1", "0")
     text = {v: str(Fraction(v, M.den)) for v in set(chain.from_iterable(M.nums))}
     return (list(map(text.__getitem__, row)) for row in M.nums)
-
-
-def _indicator(support, cols):
-    row = ["0"] * cols
-    for j in support:
-        row[j] = "1"
-    return row
 
 
 def write_csv(M):

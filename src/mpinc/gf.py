@@ -35,7 +35,7 @@ def factor_prime_power(q):
     Only q's largest exact root p is tested for primality: a prime power
     has its prime as that root. e = 1 always gives one, q itself.
     """
-    if q >= 2:
+    if isinstance(q, int) and q >= 2:
         for e in range(q.bit_length(), 0, -1):
             p = _integer_root(q, e)
             if p**e == q:

@@ -151,15 +151,17 @@ class IncidenceMatrix(namedtuple(
                 sums[j] += 1
         return sums
 
+    def indicator_rows(self, one, zero):
+        """An iterator over the dense rows: lists of one at the support, else zero."""
+        for support in self.row_support:
+            row = [zero] * self.cols
+            for j in support:
+                row[j] = one
+            yield row
+
     def to_rat_matrix(self):
         """The dense RatMatrix: den 1 and the indicator rows of the supports."""
-        rows = []
-        for support in self.row_support:
-            row = [0] * self.cols
-            for j in support:
-                row[j] = 1
-            rows.append(row)
-        return RatMatrix(self.rows, self.cols, 1, rows)
+        return RatMatrix(self.rows, self.cols, 1, list(self.indicator_rows(1, 0)))
 
 
 class PenroseReport(namedtuple("PenroseReport", "cond1 cond2 cond3 cond4")):

@@ -7,6 +7,7 @@ ever touches floating point.
 
 from fractions import Fraction
 from functools import cache
+from numbers import Rational
 
 from .errors import NotReducibleError, ParameterError
 
@@ -55,12 +56,14 @@ def _check_prime(p):
 
 def rat_mod_p(x, p):
     """Reduce a rational to GF(p): numerator * denominator^-1 mod p, as an
-    int in [0, p).
+    int in [0, p). An x that is not exact, a float say, is a ParameterError.
 
     Raises NotReducibleError when p divides the denominator, which is the
     signal that a closed form does not survive in characteristic p.
     """
     _check_prime(p)
+    if not isinstance(x, Rational):
+        raise ParameterError(f"{x!r} is not an exact rational")
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotReducibleError(f"denominator {x.denominator} vanishes mod {p}")

@@ -201,23 +201,20 @@ def meet_sizes(row_sets, col_sets):
         yield list(fields(total.to_bytes(size, "little")))
 
 
+def incidence(q, row_labels, col_labels):
+    """The 0/1 matrix on the labels with (R, C) entry 1 iff the point set of
+    C holds every point of R: subsets or blocks at q = 1, else subspaces."""
+    support = inclusion_support(_point_sets(q, row_labels), _point_sets(q, col_labels))
+    return IncidenceMatrix(len(row_labels), len(col_labels), support, row_labels, col_labels)
+
+
 def build_incidence(n, q, r, c):
     """The [n,r]_q x [n,c]_q 0/1 matrix with (R, C) entry 1 iff R inside C.
 
     Row sums are [n-r, c-r]_q; column sums are [c, r]_q.
     """
     _check_params(n, q, r, c)
-    r_labels = labels(n, q, r)
-    c_labels = labels(n, q, c)
-    return IncidenceMatrix(
-        rows=len(r_labels),
-        cols=len(c_labels),
-        row_support=inclusion_support(
-            _point_sets(q, r_labels), _point_sets(q, c_labels)
-        ),
-        row_labels=r_labels,
-        col_labels=c_labels,
-    )
+    return incidence(q, labels(n, q, r), labels(n, q, c))
 
 
 def mpinv_class_values(n, q, r, c):
@@ -313,6 +310,8 @@ def count_containing_with_intersection(n, q, r, c, k, i):
     c-subsets, with binomials and weight 1. The middle top index n-2r+k is
     validated against exhaustive enumeration in the test suite.
     """
+    if q != 1:
+        factor_prime_power(q)
     if not (0 <= k <= i <= r <= c <= n - r):
         raise ParameterError(
             f"need 0 <= k <= i <= r <= c <= n-r, got n={n}, r={r}, c={c}, k={k}, i={i}"
@@ -334,6 +333,8 @@ def count_contained_with_intersection(n, q, c, k, r, i):
     r-subsets. Validated against exhaustive enumeration in the test suite,
     k > r included.
     """
+    if q != 1:
+        factor_prime_power(q)
     if not (0 <= i <= min(k, r) and k <= c and r <= c <= n):
         raise ParameterError(
             f"need 0 <= i <= min(k, r), k <= c and r <= c <= n, "

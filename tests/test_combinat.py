@@ -79,6 +79,8 @@ def test_gaussian_binomial_counts_subspaces():
 def test_int_polynomial_normalizes():
     assert int_polynomial((1, 2, 0, 0)) == (1, 2)
     assert int_polynomial(()) == ()
+    # a rational equal to an integer reads as that int
+    assert int_polynomial((Fraction(4), 2, Fraction(0))) == (4, 2)
 
 
 def test_poly_eval():
@@ -126,6 +128,13 @@ def test_sums_reject_bad_args():
         q_ruiz_sum(2, -1, 2)
     with pytest.raises(ParameterError, match=r"^need n >= 1, got 0$"):
         gauss_binomial_formula_check(0, 1, 1, 2)
+    # a coefficient that is not an integer is refused, not truncated
+    with pytest.raises(
+        ParameterError, match=r"^polynomial coefficient Fraction\(1, 2\) is not an integer$"
+    ):
+        ruiz_sum(1, (0, Fraction(1, 2)))
+    with pytest.raises(ParameterError, match=r"^polynomial coefficient 2\.7 is not an integer$"):
+        int_polynomial((2.7, Fraction(7, 2)))
 
 
 def test_gauss_binomial_formula_examples():

@@ -294,6 +294,11 @@ def test_lambda_s_values():
     assert lambda_s(2, 7, 4, 2, 1) == 4
     with pytest.raises(ParameterError, match=r"^need 0 <= s <= t, got s=3, t=2$"):
         lambda_s(2, 7, 3, 1, 3)
+    # no design has t > k or k > v
+    with pytest.raises(ParameterError, match=r"^need t <= k <= v, got t=3, k=2, v=7$"):
+        lambda_s(3, 7, 2, 1, 1)
+    with pytest.raises(ParameterError, match=r"^need t <= k <= v, got t=2, k=3, v=1$"):
+        lambda_s(2, 1, 3, 1, 1)
 
 
 def test_lambda_s_nonintegral_warns():

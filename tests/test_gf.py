@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from mpinc.errors import InvalidFieldError
@@ -38,6 +40,10 @@ def test_build_field_rejects_non_prime_power():
         build_field(12)
     with pytest.raises(InvalidFieldError):
         build_field(1)
+    # a q that is not an int is refused, not read through int methods
+    for q in (2.0, Fraction(4)):
+        with pytest.raises(InvalidFieldError, match=r"^(2\.0|4) is not a prime power$"):
+            build_field(q)
 
 
 def test_factor_prime_power_matches_trial_division():

@@ -82,6 +82,15 @@ def test_rat_mod_p_rejects_composite_modulus():
         rat_mod_p(Fraction(3), 9)
 
 
+def test_rat_mod_p_reads_exact_rationals_only():
+    # 1/10 is 5 mod 7; the float 0.1 is a binary fraction, so it is refused
+    assert rat_mod_p(Fraction(1, 10), 7) == 5
+    assert rat_mod_p(-3, 7) == 4
+    for x in (0.1, 2.0, "1/10"):
+        with pytest.raises(ParameterError, match=r" is not an exact rational$"):
+            rat_mod_p(x, 7)
+
+
 @given(rationals, rationals, rationals)
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpinc.combinat import all_subsets, gaussian_binomial
-from mpinc.errors import ParameterError, ShapeError
+from mpinc.errors import InvalidFieldError, ParameterError, ShapeError
 from mpinc.gf import build_field
 from mpinc.linalg import RatMatrix, penrose_check, pseudoinverse_oracle
 from mpinc.subspaces import (
@@ -348,6 +348,13 @@ def test_count_parameter_validation():
         count_containing_with_intersection(4, 2, 1, 2, 2, 1)  # k > i
     with pytest.raises(ParameterError):
         count_contained_with_intersection(3, 2, 2, 0, 1, 1)  # i > k
+    # a q that is no field order is refused, as build_incidence refuses it
+    with pytest.raises(InvalidFieldError, match=r"^6 is not a prime power$"):
+        count_containing_with_intersection(4, 6, 1, 2, 0, 1)
+    with pytest.raises(InvalidFieldError, match=r"^10 is not a prime power$"):
+        count_contained_with_intersection(3, 10, 2, 1, 1, 0)
+    with pytest.raises(InvalidFieldError, match=r"^2\.0 is not a prime power$"):
+        count_containing_with_intersection(4, 2.0, 1, 2, 0, 1)
 
 
 def test_count_containing_sums_to_superspace_count():
